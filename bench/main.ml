@@ -1,6 +1,6 @@
 (* Benchmark harness entry point.
 
-   dune exec bench/main.exe            -- run every experiment (E1..E12)
+   dune exec bench/main.exe            -- run every experiment (E1..E24)
    dune exec bench/main.exe -- e5 e6   -- run selected experiments
    dune exec bench/main.exe -- micro   -- Bechamel micro-benchmarks of the
                                           hot paths (host CPU time)
@@ -23,7 +23,6 @@ module Vvec = Vv.Version_vector
 (* ---- Bechamel micro-benchmarks ---- *)
 
 let micro_tests () =
-  let open Bechamel in
   (* Persistent worlds reused across iterations (the benchmarks measure
      steady-state kernel paths, not world construction). *)
   let w = World.create ~config:(World.default_config ~n_sites:5 ()) () in
@@ -37,57 +36,60 @@ let micro_tests () =
   let k3 = World.kernel w 3 in
 
   let local_open =
-    Test.make ~name:"open+close local"
-      (Staged.stage (fun () ->
-           let o = Us.open_gf k0 gf0 Proto.Mode_read in
-           Us.close k0 o))
+    ( "open+close local",
+      fun () ->
+        let o = Us.open_gf k0 gf0 Proto.Mode_read in
+        Us.close k0 o )
   in
   let remote_open =
-    Test.make ~name:"open+close remote"
-      (Staged.stage (fun () ->
-           let o = Us.open_gf k3 gf0 Proto.Mode_read in
-           Us.close k3 o))
+    ( "open+close remote",
+      fun () ->
+        let o = Us.open_gf k3 gf0 Proto.Mode_read in
+        Us.close k3 o )
   in
   let o_local = Us.open_gf k0 gf0 Proto.Mode_read in
   let o_remote = Us.open_gf k3 gf0 Proto.Mode_read in
-  let read_local =
-    Test.make ~name:"page read local"
-      (Staged.stage (fun () -> ignore (Us.read_page k0 o_local 0)))
-  in
+  let read_local = ("page read local", fun () -> ignore (Us.read_page k0 o_local 0)) in
   let read_remote =
-    Test.make ~name:"page read remote (cached)"
-      (Staged.stage (fun () -> ignore (Us.read_page k3 o_remote 0)))
+    ("page read remote (cached)", fun () -> ignore (Us.read_page k3 o_remote 0))
   in
   let pack = Pack.create ~fg:9 ~pack_id:0 ~ino_lo:2 ~ino_hi:10_000 () in
   let inode = Inode.create ~ino:2 ~ftype:Inode.Regular ~owner:"b" in
   Pack.install_inode pack inode;
   let body = String.make 2048 's' in
   let shadow_commit =
-    Test.make ~name:"shadow commit 2 pages"
-      (Staged.stage (fun () ->
-           let s = Shadow.begin_modify pack 2 in
-           Shadow.set_contents s body;
-           Shadow.commit s ~vv:Vvec.zero ~mtime:0.0))
+    ( "shadow commit 2 pages",
+      fun () ->
+        let s = Shadow.begin_modify pack 2 in
+        Shadow.set_contents s body;
+        Shadow.commit s ~vv:Vvec.zero ~mtime:0.0 )
   in
   let a = Vvec.of_list [ (0, 3); (1, 2); (4, 9) ] in
   let b = Vvec.of_list [ (0, 3); (2, 7) ] in
-  let vv_compare =
-    Test.make ~name:"version-vector compare"
-      (Staged.stage (fun () -> ignore (Vvec.compare_vv a b)))
-  in
+  let vv_compare = ("version-vector compare", fun () -> ignore (Vvec.compare_vv a b)) in
+  (* A directory of the size the perfbench namespace workload churns:
+     what a dirop pays to read it, search it, and rewrite one entry. *)
   let dir = Catalog.Dir.empty () in
-  for i = 0 to 99 do
-    Catalog.Dir.insert dir ~name:(Printf.sprintf "entry%d" i) ~ino:(i + 2)
-      ~stamp:0.0 ~origin:0
+  for i = 0 to 511 do
+    Catalog.Dir.insert dir ~name:(Printf.sprintf "entry%04d" i) ~ino:(i + 2)
+      ~stamp:(float_of_int i *. 1.37) ~origin:(i mod 64)
   done;
-  let dir_codec =
-    Test.make ~name:"directory encode+decode (100 entries)"
-      (Staged.stage (fun () ->
-           ignore (Catalog.Dir.decode (Catalog.Dir.encode dir))))
+  let dir_body = Catalog.Dir.encode dir in
+  let dir_decode =
+    ("directory decode (512 entries)", fun () -> ignore (Catalog.Dir.decode dir_body))
+  in
+  let dir_lookup =
+    ("directory lookup (512 entries)", fun () -> ignore (Catalog.Dir.lookup dir "entry0300"))
+  in
+  let dir_insert =
+    ( "directory insert+encode (512 entries)",
+      fun () ->
+        Catalog.Dir.insert dir ~name:"entry0300" ~ino:302 ~stamp:1234.5 ~origin:3;
+        ignore (Catalog.Dir.encode dir) )
   in
   [
     local_open; remote_open; read_local; read_remote; shadow_commit; vv_compare;
-    dir_codec;
+    dir_decode; dir_lookup; dir_insert;
   ]
 
 (* ---- event-core micro suite (BENCH_micro.json) ---- *)
@@ -198,27 +200,39 @@ let run_heap_micro () =
   Printf.printf "  engine step+dispatch: %.0f events/sec, %.1f words/event\n%!"
     eng_eps eng_wpe
 
+(* Words allocated per call, minor and major heap alike (large arrays and
+   strings go straight to the major heap). *)
+let words_per_call f =
+  let n = 200 in
+  f ();
+  let mi0, pr0, ma0 = Gc.counters () in
+  for _ = 1 to n do
+    f ()
+  done;
+  let mi1, pr1, ma1 = Gc.counters () in
+  (mi1 -. mi0 +. (ma1 -. ma0) -. (pr1 -. pr0)) /. float_of_int n
+
 let run_micro () =
   run_heap_micro ();
   let open Bechamel in
   Printf.printf "\n== Bechamel micro-benchmarks (host CPU) ==\n%!";
-  let tests = micro_tests () in
   let instance = Toolkit.Instance.monotonic_clock in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:(Some 100) () in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
   in
   List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let stats = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] -> Printf.printf "  %-40s %10.0f ns/op\n%!" name est
-          | Some _ | None -> Printf.printf "  %-40s (no estimate)\n%!" name)
-        stats)
-    tests
+    (fun (name, f) ->
+      (* words first, so state the timing runs leave behind does not count *)
+      let words = words_per_call f in
+      let results = Benchmark.all cfg [ instance ] (Test.make ~name (Staged.stage f)) in
+      let ns =
+        match Analyze.OLS.estimates (Hashtbl.find (Analyze.all ols instance results) name) with
+        | Some [ est ] -> Printf.sprintf "%10.0f" est
+        | Some _ | None -> Printf.sprintf "%10s" "-"
+      in
+      Printf.printf "  %-44s %s ns/op %10.0f words/op\n%!" name ns words)
+    (micro_tests ())
 
 (* ---- fault soak ---- *)
 

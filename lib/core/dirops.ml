@@ -109,8 +109,7 @@ let create_in k dir_gf ~name ~ftype ~owner ~perms ~ncopies =
     let gf = Gfile.make ~fg ~ino in
     enter_entry k dir_gf ~name ~ino;
     record k ~tag:"us.create"
-      (Format.asprintf "%s -> %a at %a (+%d replicas)" name Gfile.pp gf Site.pp ss
-         (List.length others));
+      "%s -> %a at %a (+%d replicas)" name Gfile.pp gf Site.pp ss (List.length others);
     gf
 
 (* Initialize a fresh directory's "." and ".." entries. *)

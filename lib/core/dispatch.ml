@@ -35,7 +35,7 @@ let handle k ~src (req : Proto.req) : Proto.resp =
       (* A new committed version exists: buffered pages of any other
          version of this file can never hit again — drop them from both
          cache tiers by (file, version) prefix. *)
-      let stale (g, _, v) = Gfile.equal g gf && not (String.equal v (vv_key vv)) in
+      let stale = other_versions gf vv in
       Cache.invalidate_if ~notify:false k.us_cache stale;
       Cache.invalidate_if ~notify:false k.ss_cache stale;
       (* Name-cache coherence rides the same notification: links read from
@@ -58,7 +58,7 @@ let handle k ~src (req : Proto.req) : Proto.resp =
     | Proto.Lease_break { gf } ->
       (* CSS callback: drop the retained grant; the deferred close (if one
          is owed and no open still rides the lease) goes out now. *)
-      record k ~tag:"us.lease.breakcb" (Gfile.to_string gf);
+      record k ~tag:"us.lease.breakcb" "%a" Gfile.pp gf;
       Openlease.kill k.open_leases gf;
       Proto.R_ok
     (* create / delete / metadata *)

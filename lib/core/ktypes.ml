@@ -186,6 +186,12 @@ type fg_info = {
 
 (* ---- the kernel ---- *)
 
+(* A buffered page's key: (file, logical page, version). The version is the
+   vector's canonical component list, so equal vectors always give equal
+   keys — however their maps were built — and a new committed version
+   naturally misses (coherence for free). *)
+type page_key = Gfile.t * int * (Vvec.site * int) list
+
 type t = {
   site : Site.t;
   machine_type : string; (* cpu type, selects hidden-directory entries (2.4.1) *)
@@ -199,8 +205,8 @@ type t = {
   open_files : (Gfile.t * int, ofile) Hashtbl.t; (* US incore inodes, by (file, serial) *)
   ss_opens : (Gfile.t, ss_open) Hashtbl.t;       (* SS-side serving state *)
   ss_slots : (int, Gfile.t) Hashtbl.t;           (* incore-inode slot -> file *)
-  us_cache : (Gfile.t * int * string) Storage.Cache.t; (* (file, lpage, vv) -> page *)
-  ss_cache : (Gfile.t * int * string) Storage.Cache.t;
+  us_cache : page_key Storage.Cache.t; (* (file, lpage, vv) -> page *)
+  ss_cache : page_key Storage.Cache.t;
   (* SS buffer cache fronting pack/disk page reads, same version-keying *)
   name_cache : Namecache.t;
   (* (directory, component) -> child links, vv-validated (section 2.3.4) *)
@@ -241,8 +247,14 @@ let charge_disk_write k = charge k (latency k).Net.Latency.disk_write
 
 let charge_cpu_page k = charge k (latency k).Net.Latency.cpu_page
 
-let record k ~tag detail =
-  Engine.record k.engine ~tag (Printf.sprintf "%s %s" (Site.to_string k.site) detail)
+(* The detail is formatted only while the trace records; otherwise the
+   format and its arguments are consumed without printing anything. *)
+let record k ~tag fmt =
+  if Sim.Trace.recording (Engine.trace k.engine) then
+    Format.kasprintf
+      (fun detail -> Engine.record k.engine ~tag (Site.to_string k.site ^ " " ^ detail))
+      fmt
+  else Format.ikfprintf ignore Format.str_formatter fmt
 
 let fg_info k fg =
   match List.find_opt (fun fi -> fi.fg = fg) k.fg_table with
@@ -303,9 +315,15 @@ let stripe_owner stripes lpage =
   | [] -> invalid_arg "stripe_owner: unstriped file"
   | _ -> List.nth stripes (lpage mod List.length stripes)
 
-(* Cache keys carry the version vector rendered to a string, so a new
-   committed version naturally misses (coherence for free). *)
-let vv_key vv = Vvec.to_string vv
+let vv_key vv = Vvec.to_list vv
+
+let vv_key_equal a b = List.equal (fun (s, n) (s', n') -> s = s' && n = n') a b
+
+(* The key of the version vector is computed once, not once per cached
+   page the predicate is applied to. *)
+let other_versions gf vv =
+  let key = vv_key vv in
+  fun ((g, _, v) : page_key) -> Gfile.equal g gf && not (vv_key_equal v key)
 
 let ss_cache_enabled k = k.config.ss_cache_pages > 0
 

@@ -170,6 +170,9 @@ type fg_info = {
 
 (** {1 The kernel} *)
 
+type page_key = Gfile.t * int * (Vvec.site * int) list
+(** A buffered page: (file, logical page, {!vv_key} of its version). *)
+
 type t = {
   site : Site.t;
   machine_type : string; (** cpu type; selects hidden-directory entries *)
@@ -183,9 +186,9 @@ type t = {
   open_files : (Gfile.t * int, ofile) Hashtbl.t;
   ss_opens : (Gfile.t, ss_open) Hashtbl.t;
   ss_slots : (int, Gfile.t) Hashtbl.t; (** incore-inode slot → file *)
-  us_cache : (Gfile.t * int * string) Storage.Cache.t;
+  us_cache : page_key Storage.Cache.t;
       (** (file, page, version) → page: stale versions miss naturally *)
-  ss_cache : (Gfile.t * int * string) Storage.Cache.t;
+  ss_cache : page_key Storage.Cache.t;
       (** SS buffer cache fronting pack/disk page reads, same keying *)
   name_cache : Namecache.t;
       (** (directory, component) → child links, vv-validated (§2.3.4) *)
@@ -229,8 +232,10 @@ val charge_disk_write : t -> unit
 
 val charge_cpu_page : t -> unit
 
-val record : t -> tag:string -> string -> unit
-(** Append a protocol-trace event, prefixed with this site. *)
+val record : t -> tag:string -> ('a, Format.formatter, unit) format -> 'a
+(** [record k ~tag fmt args] appends a protocol-trace event, prefixed with
+    this site. The detail is formatted only while the trace is recording
+    ({!Sim.Trace.set_recording}); otherwise no printer runs. *)
 
 val fg_info : t -> int -> fg_info
 (** Raises [EINVAL] for an unknown filegroup. *)
@@ -260,9 +265,14 @@ val stripe_owner : Site.t list -> int -> Site.t
 (** The stripe site serving logical page [lpage]. Raises on an unstriped
     ([[]]) map. *)
 
-val vv_key : Vvec.t -> string
-(** The version vector as a cache-key component: a new committed version
-    changes the key, so stale buffered pages miss naturally. *)
+val vv_key : Vvec.t -> (Vvec.site * int) list
+(** The version vector as a cache-key component: its canonical component
+    list ({!Vvec.to_list}), equal for equal vectors. A new committed
+    version changes the key, so stale buffered pages miss naturally. *)
+
+val other_versions : Gfile.t -> Vvec.t -> page_key -> bool
+(** [other_versions gf vv] holds for buffered pages of [gf] under any
+    version but [vv]: the invalidation predicate of a commit. *)
 
 val ss_cache_enabled : t -> bool
 (** Whether the SS-side buffer-cache tier is on ([ss_cache_pages > 0]). *)

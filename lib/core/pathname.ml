@@ -203,8 +203,7 @@ let handle_lookup k gf comps =
     (match resp with
     | Proto.R_lookup { consumed; _ } ->
       record k ~tag:"ss.lookup"
-        (Format.asprintf "%a %d/%d components" Gfile.pp gf consumed
-           (List.length comps))
+        "%a %d/%d components" Gfile.pp gf consumed (List.length comps)
     | _ -> ());
     resp
 
@@ -469,16 +468,14 @@ let read_directory k gf =
     match Mount.sharded_at k.mount gf with
     | None -> dir
     | Some fgs ->
-      List.iter
-        (fun fg ->
-          let _, body = load_dir k (Gfile.make ~fg ~ino:Mount.root_ino) in
-          List.iter
-            (fun (e : Dir.entry) ->
-              if e.Dir.name <> "." && e.Dir.name <> ".." then
-                Dir.insert dir ~name:e.Dir.name ~ino:e.Dir.ino ~stamp:e.Dir.stamp
-                  ~origin:e.Dir.origin)
-            (Dir.live_entries (dir_of_body body)))
-        fgs;
-      dir)
+      (* The shards' live entries, in shard order, override the mount
+         point's own. *)
+      let shard_entries fg =
+        let _, body = load_dir k (Gfile.make ~fg ~ino:Mount.root_ino) in
+        List.filter
+          (fun (e : Dir.entry) -> e.Dir.name <> "." && e.Dir.name <> "..")
+          (Dir.live_entries (dir_of_body body))
+      in
+      Dir.of_entries (Dir.all_entries dir @ List.concat_map shard_entries fgs))
   | Inode.Regular | Inode.Mailbox | Inode.Database | Inode.Fifo ->
     err Proto.Enotdir "%a is not a directory" Gfile.pp gf

@@ -240,7 +240,7 @@ let handle_stripe_collect k gf =
     s.s_shadow <- None;
     Cache.invalidate_if ~notify:false k.ss_cache (fun (g, _, _) -> Gfile.equal g gf);
     record k ~tag:"ss.stripe.collect"
-      (Format.asprintf "%a -> %d pages size=%d" Gfile.pp gf (List.length pages) size);
+      "%a -> %d pages size=%d" Gfile.pp gf (List.length pages) size;
     Proto.R_stripe { pages; size }
   | Some { s_shadow = None; _ } | None ->
     (* This stripe saw no modifications: nothing to fold in. The size is
@@ -325,7 +325,7 @@ let handle_commit ?force_vv ?(stripes = []) k gf ~abort ~delete =
       | None -> ());
       s.s_shadow <- None;
       Cache.invalidate_if ~notify:false k.ss_cache (fun (g, _, _) -> Gfile.equal g gf);
-      record k ~tag:"ss.abort" (Gfile.to_string gf);
+      record k ~tag:"ss.abort" "%a" Gfile.pp gf;
       let vv =
         match Pack.find_inode pack gf.Gfile.ino with
         | Some inode -> inode.Inode.vv
@@ -358,16 +358,14 @@ let handle_commit ?force_vv ?(stripes = []) k gf ~abort ~delete =
       Openlease.note_commit k.open_leases gf vv;
       (* The previous version's buffered pages are dead weight now (the new
          version keys differently); drop them. *)
-      Cache.invalidate_if ~notify:false k.ss_cache
-        (fun (g, _, v) -> Gfile.equal g gf && not (String.equal v (vv_key vv)));
+      Cache.invalidate_if ~notify:false k.ss_cache (other_versions gf vv);
       (* Likewise name-cache links: if this was a directory, links read
          from the old version are dead; if the file was deleted, no link
          may keep resolving to it. *)
       Namecache.note_dir_vv k.name_cache ~dir:gf vv;
       if delete then Namecache.invalidate_child k.name_cache gf;
       record k ~tag:"ss.commit"
-        (Format.asprintf "%a vv=%a%s" Gfile.pp gf Vvec.pp vv
-           (if delete then " delete" else ""));
+        "%a vv=%a%s" Gfile.pp gf Vvec.pp vv (if delete then " delete" else "");
       (* Notify the CSS and the other storage sites (section 2.3.6). The
          CSS message is synchronous: the commit is not complete until the
          synchronization site knows the new version, which is what keeps
@@ -473,7 +471,7 @@ let revalidate_serving k =
     (fun (gf, (s : ss_open), us, actual) ->
       Sim.Stats.incr (stats k) "ss.revalidate.dropped";
       record k ~tag:"ss.revalidate"
-        (Format.asprintf "%a us=%a -> %d" Gfile.pp gf Site.pp us actual);
+        "%a us=%a -> %d" Gfile.pp gf Site.pp us actual;
       s.s_uss <-
         (if actual = 0 then Site.Map.remove us s.s_uss
          else Site.Map.add us actual s.s_uss);
@@ -502,7 +500,7 @@ let handle_create k req_fg ~ftype ~owner ~perms ~replicate_at =
     Pack.install_inode pack inode;
     charge_disk_write k;
     let gf = Gfile.make ~fg:req_fg ~ino in
-    record k ~tag:"ss.create" (Format.asprintf "%a %a" Gfile.pp gf Inode.pp_ftype ftype);
+    record k ~tag:"ss.create" "%a %a" Gfile.pp gf Inode.pp_ftype ftype;
     let fi = fg_info k req_fg in
     let message ~designate ~replicas =
       Proto.Commit_notify
@@ -547,8 +545,7 @@ let metadata_commit k gf mutate =
       charge_disk_write k;
       (* The data pages did not change, but they are keyed under the old
          version and can never hit again; free the space. *)
-      Cache.invalidate_if ~notify:false k.ss_cache
-        (fun (g, _, v) -> Gfile.equal g gf && not (String.equal v (vv_key inode.Inode.vv)));
+      Cache.invalidate_if ~notify:false k.ss_cache (other_versions gf inode.Inode.vv);
       Namecache.note_dir_vv k.name_cache ~dir:gf inode.Inode.vv;
       let fi = fg_info k gf.Gfile.fg in
       let message =

@@ -70,8 +70,7 @@ let rec open_gf ?(shared = false) k gf mode =
     in
     Hashtbl.add k.open_files (gf, o.o_serial) o;
     record k ~tag:"us.open.lease"
-      (Format.asprintf "%a %a ss=%a" Gfile.pp gf Proto.pp_mode mode Site.pp
-         e.Openlease.le_ss);
+      "%a %a ss=%a" Gfile.pp gf Proto.pp_mode mode Site.pp e.Openlease.le_ss;
     o
   | None -> open_gf_cold ~shared k fi gf mode
 
@@ -118,7 +117,7 @@ and open_gf_cold ~shared k fi gf mode =
           }
         in
         Openlease.insert k.open_leases e;
-        record k ~tag:"us.lease.grant" (Gfile.to_string gf);
+        record k ~tag:"us.lease.grant" "%a" Gfile.pp gf;
         Some e
       end
       else None
@@ -147,7 +146,7 @@ and open_gf_cold ~shared k fi gf mode =
     in
     Hashtbl.add k.open_files (gf, o.o_serial) o;
     record k ~tag:"us.open"
-      (Format.asprintf "%a %a ss=%a" Gfile.pp gf Proto.pp_mode mode Site.pp ss);
+      "%a %a ss=%a" Gfile.pp gf Proto.pp_mode mode Site.pp ss;
     o
   | Proto.R_err e -> err e "open %a failed" Gfile.pp gf
   | _ -> err Proto.Eio "unexpected open response"
@@ -170,7 +169,7 @@ let page_site o lpage =
    cannot degrade (pages already written to peer sessions would be lost);
    they fail like a classic open whose SS died. *)
 let stripe_degrade k o =
-  record k ~tag:"us.stripe.degrade" (Gfile.to_string o.o_gf);
+  record k ~tag:"us.stripe.degrade" "%a" Gfile.pp o.o_gf;
   Sim.Stats.incr (stats k) "us.stripe.degrade";
   o.o_stripes <- []
 
@@ -714,7 +713,7 @@ let abort k o = ignore (commit_gen k o ~abort:true ~delete:false)
    breaks arriving through dispatch, eviction or recovery all route here. *)
 let lease_send_close k (e : Openlease.entry) =
   if k.alive then begin
-    record k ~tag:"us.lease.close" (Gfile.to_string e.Openlease.le_gf);
+    record k ~tag:"us.lease.close" "%a" Gfile.pp e.Openlease.le_gf;
     if Site.equal e.Openlease.le_ss k.site then
       (try
          ignore
@@ -777,7 +776,7 @@ let close k o =
        stay, version-keyed, so a re-open of the same version hits warm. *)
     if not k.config.cache_retention then
       Cache.invalidate_if ~notify:false k.us_cache (fun (g, _, _) -> Gfile.equal g o.o_gf);
-    record k ~tag:"us.close" (Gfile.to_string o.o_gf)
+    record k ~tag:"us.close" "%a" Gfile.pp o.o_gf
   end
 
 (* Delete the file body: mark the inode deleted and commit (section 2.3.7). *)

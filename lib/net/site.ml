@@ -8,6 +8,9 @@ let pp ppf s = Format.fprintf ppf "s%d" s
 
 let to_string s = Format.asprintf "%a" pp s
 
+let pp_list ppf l =
+  Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ',') pp ppf l
+
 module Set = Set.Make (Int)
 module Map = Map.Make (Int)
 

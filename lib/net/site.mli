@@ -13,6 +13,9 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
+val pp_list : Format.formatter -> t list -> unit
+(** Comma-separated, no spaces: "s1,s2". *)
+
 module Set : Set.S with type elt = t
 
 module Map : Map.S with type key = t

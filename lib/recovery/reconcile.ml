@@ -230,19 +230,15 @@ let fetch_owner k fg ino =
       f.site_vv None
 
 let merge_two_dirs k fg a b report =
-  let out = Dir.empty () in
+  (* The merged entries, newest first; a later entry for a name replaces an
+     earlier one, as an insert would. *)
+  let out = ref [] in
   let names =
     List.map (fun (e : Dir.entry) -> e.Dir.name) (Dir.all_entries a)
     @ List.map (fun (e : Dir.entry) -> e.Dir.name) (Dir.all_entries b)
     |> List.sort_uniq String.compare
   in
-  let put (e : Dir.entry) =
-    match e.Dir.status with
-    | Dir.Live -> Dir.insert out ~name:e.Dir.name ~ino:e.Dir.ino ~stamp:e.Dir.stamp ~origin:e.Dir.origin
-    | Dir.Tombstone ->
-      Dir.insert out ~name:e.Dir.name ~ino:e.Dir.ino ~stamp:e.Dir.stamp ~origin:e.Dir.origin;
-      ignore (Dir.remove out ~name:e.Dir.name ~stamp:e.Dir.stamp ~origin:e.Dir.origin)
-  in
+  let put (e : Dir.entry) = out := e :: !out in
   List.iter
     (fun name ->
       match (Dir.find_entry a name, Dir.find_entry b name) with
@@ -253,7 +249,7 @@ let merge_two_dirs k fg a b report =
         (match e.Dir.status with
         | Dir.Tombstone when modified_since k fg e.Dir.ino ~since:e.Dir.stamp ->
           report.deletes_undone <- report.deletes_undone + 1;
-          Dir.insert out ~name ~ino:e.Dir.ino ~stamp:e.Dir.stamp ~origin:e.Dir.origin
+          put { e with Dir.status = Dir.Live }
         | Dir.Tombstone | Dir.Live -> put e)
       | Some ea, Some eb -> (
         match (ea.Dir.status, eb.Dir.status) with
@@ -262,9 +258,7 @@ let merge_two_dirs k fg a b report =
              distinguished and the owners are notified by mail. *)
           report.name_conflicts <- report.name_conflicts + 1;
           let alter (e : Dir.entry) =
-            let altered = Printf.sprintf "%s!conflict!%d" name e.Dir.ino in
-            Dir.insert out ~name:altered ~ino:e.Dir.ino ~stamp:e.Dir.stamp
-              ~origin:e.Dir.origin
+            put { e with Dir.name = Printf.sprintf "%s!conflict!%d" name e.Dir.ino }
           in
           alter ea;
           alter eb;
@@ -291,7 +285,7 @@ let merge_two_dirs k fg a b report =
           end
           else put dead))
     names;
-  out
+  Dir.of_entries (List.rev !out)
 
 (* ---- per-file reconciliation ---- *)
 
@@ -349,7 +343,7 @@ let resolve_conflict k gf f copies report =
         in
         report.dir_merges <- report.dir_merges + 1;
         commit_merged ~target:site0 (Dir.encode merged);
-        record k ~tag:"recon.dir" (Gfile.to_string gf))
+        record k ~tag:"recon.dir" "%a" Gfile.pp gf)
     | Inode.Mailbox ->
       let boxes =
         List.filter_map
@@ -365,7 +359,7 @@ let resolve_conflict k gf f copies report =
         let merged = List.fold_left Mbox.merge first rest in
         report.mail_merges <- report.mail_merges + 1;
         commit_merged ~target:site0 (Mbox.encode merged);
-        record k ~tag:"recon.mail" (Gfile.to_string gf))
+        record k ~tag:"recon.mail" "%a" Gfile.pp gf)
     | Inode.Regular | Inode.Database | Inode.Fifo ->
       if deleted_involved && live <> [] then begin
         (* Delete/modify conflict: save the modified copy. *)
@@ -374,7 +368,7 @@ let resolve_conflict k gf f copies report =
         | Some content ->
           report.saved_from_delete <- report.saved_from_delete + 1;
           commit_merged ~target:site content;
-          record k ~tag:"recon.saved" (Gfile.to_string gf)
+          record k ~tag:"recon.saved" "%a" Gfile.pp gf
         | None -> ()
       end
       else begin
@@ -393,7 +387,7 @@ let resolve_conflict k gf f copies report =
             let merged = manager contents in
             report.manager_merges <- report.manager_merges + 1;
             commit_merged ~target:site0 merged;
-            record k ~tag:"recon.manager" (Gfile.to_string gf))
+            record k ~tag:"recon.manager" "%a" Gfile.pp gf)
         | None ->
           (* Untyped conflict: mark the file (normal access fails) and
              tell the owner by mail; a tool or the user reconciles
@@ -408,7 +402,7 @@ let resolve_conflict k gf f copies report =
                    (Gfile.to_string gf) (List.length copies))
               report
           | None -> ());
-          record k ~tag:"recon.conflict" (Gfile.to_string gf)
+          record k ~tag:"recon.conflict" "%a" Gfile.pp gf
       end
 
 (* Reconcile one file (also the entry point for demand recovery: a

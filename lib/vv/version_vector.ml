@@ -3,8 +3,12 @@ module Imap = Map.Make (Int)
 type site = int
 
 type t = int Imap.t
-(* Invariant: no zero components are stored, so structural equality of the
-   maps coincides with vector equality. *)
+(* Invariant: no zero components are stored, so two vectors are equal
+   exactly when their maps hold the same bindings ([Imap.equal], or equal
+   [to_list]). The balanced tree's shape depends on insertion order, so
+   polymorphic (=) and [Hashtbl.hash] on the map itself are NOT vector
+   equality: anything keyed by a version (the page caches) keys on
+   [to_list]. *)
 
 let zero = Imap.empty
 

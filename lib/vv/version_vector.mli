@@ -17,7 +17,9 @@ val zero : t
 val of_list : (site * int) list -> t
 
 val to_list : t -> (site * int) list
-(** Non-zero components, sorted by site. *)
+(** Non-zero components, sorted by site: the canonical form, equal for
+    equal vectors however they were built. Use it (not [t]) wherever a
+    vector is compared with (=) or hashed. *)
 
 val get : t -> site -> int
 

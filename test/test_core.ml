@@ -227,9 +227,10 @@ let test_cross_open_cache_retention () =
   (* The Commit_notify handler drops every entry of the file that is not
      at the announced version, from both cache tiers. *)
   let vv = (Us.stat_gf k0 gf).Proto.i_vv in
+  let stale = K.vv_key (Vv.Version_vector.of_list [ (9, 9) ]) in
   Storage.Cache.insert k3.K.us_cache (gf, 0, K.vv_key vv) (Storage.Page.of_string "cur");
-  Storage.Cache.insert k3.K.us_cache (gf, 1, "stale-vv") (Storage.Page.of_string "old");
-  Storage.Cache.insert k3.K.ss_cache (gf, 2, "stale-vv") (Storage.Page.of_string "old");
+  Storage.Cache.insert k3.K.us_cache (gf, 1, stale) (Storage.Page.of_string "old");
+  Storage.Cache.insert k3.K.ss_cache (gf, 2, stale) (Storage.Page.of_string "old");
   let notify =
     Proto.Commit_notify
       { gf; vv; meta_only = false; modified = []; origin = 0; fresh = false;
@@ -239,9 +240,9 @@ let test_cross_open_cache_retention () =
   check Alcotest.bool "current version kept" true
     (Storage.Cache.mem k3.K.us_cache (gf, 0, K.vv_key vv));
   check Alcotest.bool "stale US entry dropped" false
-    (Storage.Cache.mem k3.K.us_cache (gf, 1, "stale-vv"));
+    (Storage.Cache.mem k3.K.us_cache (gf, 1, stale));
   check Alcotest.bool "stale SS entry dropped" false
-    (Storage.Cache.mem k3.K.ss_cache (gf, 2, "stale-vv"))
+    (Storage.Cache.mem k3.K.ss_cache (gf, 2, stale))
 
 (* Regression: a short mid-file page (a lying or sparse SS) used to stop
    the read_bytes loop, silently returning short data. It must read as

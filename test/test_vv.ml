@@ -101,6 +101,40 @@ let prop_conflict_iff_incomparable =
       Vvec.conflict a b
       = ((not (Vvec.dominates_or_equal a b)) && not (Vvec.dominates_or_equal b a)))
 
+(* Equal vectors whose maps were built in different orders have different
+   tree shapes, so the map itself is no cache key; [Ktypes.vv_key] (the
+   canonical component list) must coincide, and both spellings must hit
+   the same using-site cache entry. *)
+let test_cache_key_canonical () =
+  let comps = List.init 7 (fun i -> (i + 1, i + 1)) in
+  let up = Vvec.of_list comps and down = Vvec.of_list (List.rev comps) in
+  let bumped =
+    List.fold_left
+      (fun v s -> List.fold_left (fun v _ -> Vvec.bump v s) v (List.init s Fun.id))
+      Vvec.zero [ 4; 7; 1; 6; 2; 5; 3 ]
+  in
+  let module K = Locus_core.Ktypes in
+  List.iter
+    (fun (name, v) ->
+      check Alcotest.bool (name ^ ": equal vectors") true (Vvec.equal up v);
+      check Alcotest.(list (pair int int)) (name ^ ": same key") (K.vv_key up) (K.vv_key v);
+      check Alcotest.int (name ^ ": same key hash") (Hashtbl.hash (K.vv_key up))
+        (Hashtbl.hash (K.vv_key v)))
+    [ ("reversed", down); ("bumped", bumped) ];
+  let w = Locus.World.create ~config:(Locus.World.default_config ~n_sites:2 ()) () in
+  let k = Locus.World.kernel w 1 in
+  let gf = Catalog.Gfile.make ~fg:0 ~ino:99 in
+  Storage.Cache.insert k.K.us_cache (gf, 0, K.vv_key up) (Storage.Page.of_string "page");
+  (match Storage.Cache.find k.K.us_cache (gf, 0, K.vv_key down) with
+  | Some p ->
+    check Alcotest.string "hit through the other spelling" "page"
+      (String.sub (Storage.Page.to_string p) 0 4)
+  | None -> Alcotest.fail "equal vector missed the US cache");
+  Storage.Cache.insert k.K.us_cache (gf, 0, K.vv_key bumped) (Storage.Page.of_string "page");
+  check Alcotest.int "one entry, not three" 1
+    (List.length
+       (List.filter (fun (g, _, _) -> Catalog.Gfile.equal g gf) (Storage.Cache.keys_mru k.K.us_cache)))
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -124,6 +158,7 @@ let () =
           Alcotest.test_case "merge resolves" `Quick test_merge_resolves;
           Alcotest.test_case "of_list" `Quick test_of_list_roundtrip;
           Alcotest.test_case "paper example" `Quick test_paper_example;
+          Alcotest.test_case "cache key is canonical" `Quick test_cache_key_canonical;
         ] );
       ("properties", props);
     ]
