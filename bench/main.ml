@@ -6,7 +6,8 @@
                                           hot paths (host CPU time)
    dune exec bench/main.exe -- soak [--seeds K] [--seed N] [--ops M]
                                     [--drop i,j,...]
-                                       -- deterministic fault soak; failing
+                                       -- deterministic fault soak under every
+                                          shipped configuration; failing
                                           seeds shrink to a minimal repro
                                           command and exit non-zero *)
 
@@ -238,8 +239,10 @@ let run_micro () =
 
 (* `soak --seed N --ops M [--drop i,j]` replays one scenario (this is the
    shape of the shrunken repro commands the harness prints); `soak --seeds
-   K --ops M` sweeps seeds 1..K, shrinking any failure. Exit 1 on any
-   invariant violation. *)
+   K --ops M` sweeps seeds 1..K, shrinking any failure. Every scenario
+   runs under each configuration in [Soak.Driver.configs], so a repro
+   command replays the failing configuration too. Exit 1 on any invariant
+   violation. *)
 let run_soak args =
   let seeds = ref 0 and seed = ref 1 and ops = ref 2000 and drop = ref [] in
   let rec parse = function
@@ -259,50 +262,55 @@ let run_soak args =
           { Soak.Shrink.sc_seed = i + 1; sc_ops = !ops; sc_drop = [] })
     else [ { Soak.Shrink.sc_seed = !seed; sc_ops = !ops; sc_drop = !drop } ]
   in
-  let fails sc =
-    Soak.Driver.failed
-      (Soak.Driver.run ~drop:sc.Soak.Shrink.sc_drop ~seed:sc.Soak.Shrink.sc_seed
-         ~ops:sc.Soak.Shrink.sc_ops ())
+  let run config sc =
+    Soak.Driver.run ~drop:sc.Soak.Shrink.sc_drop ~config ~seed:sc.Soak.Shrink.sc_seed
+      ~ops:sc.Soak.Shrink.sc_ops ()
   in
   let failures = ref 0 in
   List.iter
-    (fun sc ->
-      let oc =
-        Soak.Driver.run ~drop:sc.Soak.Shrink.sc_drop ~seed:sc.Soak.Shrink.sc_seed
-          ~ops:sc.Soak.Shrink.sc_ops ()
-      in
-      let faults =
-        List.fold_left (fun a (_, c) -> a + c) 0 oc.Soak.Driver.oc_injected
-      in
-      if Soak.Driver.failed oc then begin
-        incr failures;
-        let labels =
-          String.concat ", "
-            (List.map
-               (fun (l, c) -> if c = 1 then l else Printf.sprintf "%s x%d" l c)
-               oc.Soak.Driver.oc_injected)
-        in
-        Printf.printf "seed %d: FAIL (%d ops, %d faults: %s)\n%!"
-          sc.Soak.Shrink.sc_seed oc.Soak.Driver.oc_report.Locus.Workload.ops
-          faults labels;
-        List.iter
-          (fun v -> Printf.printf "  %s\n" (Format.asprintf "%a" Soak.Invariant.pp_violation v))
-          oc.Soak.Driver.oc_violations;
-        let small, runs = Soak.Shrink.shrink ~fails sc in
-        Printf.printf "  shrunk in %d replays; minimal repro:\n  %s\n%!" runs
-          (Soak.Shrink.repro_command small)
-      end
-      else
-        Printf.printf "seed %d: ok (%d ops, %d faults, %d events)\n%!"
-          sc.Soak.Shrink.sc_seed oc.Soak.Driver.oc_report.Locus.Workload.ops
-          faults oc.Soak.Driver.oc_events)
-    scenarios;
+    (fun (name, config) ->
+      List.iter
+        (fun sc ->
+          let oc = run config sc in
+          let faults =
+            List.fold_left (fun a (_, c) -> a + c) 0 oc.Soak.Driver.oc_injected
+          in
+          if Soak.Driver.failed oc then begin
+            incr failures;
+            let labels =
+              String.concat ", "
+                (List.map
+                   (fun (l, c) -> if c = 1 then l else Printf.sprintf "%s x%d" l c)
+                   oc.Soak.Driver.oc_injected)
+            in
+            Printf.printf "seed %d [%s]: FAIL (%d ops, %d faults: %s)\n%!"
+              sc.Soak.Shrink.sc_seed name oc.Soak.Driver.oc_report.Locus.Workload.ops
+              faults labels;
+            List.iter
+              (fun v ->
+                Printf.printf "  %s\n" (Format.asprintf "%a" Soak.Invariant.pp_violation v))
+              oc.Soak.Driver.oc_violations;
+            (* The repro replays every configuration, this one included. *)
+            let small, runs =
+              Soak.Shrink.shrink ~fails:(fun sc -> Soak.Driver.failed (run config sc)) sc
+            in
+            Printf.printf "  shrunk in %d replays; minimal repro:\n  %s\n%!" runs
+              (Soak.Shrink.repro_command small)
+          end
+          else
+            Printf.printf "seed %d [%s]: ok (%d ops, %d faults, %d events, %d stripe reads)\n%!"
+              sc.Soak.Shrink.sc_seed name oc.Soak.Driver.oc_report.Locus.Workload.ops
+              faults oc.Soak.Driver.oc_events oc.Soak.Driver.oc_stripe_reads)
+        scenarios)
+    Soak.Driver.configs;
+  let total = List.length scenarios * List.length Soak.Driver.configs in
   if !failures > 0 then begin
-    Printf.printf "soak: %d/%d scenarios FAILED\n" !failures
-      (List.length scenarios);
+    Printf.printf "soak: %d/%d scenarios FAILED\n" !failures total;
     exit 1
   end
-  else Printf.printf "soak: all %d scenarios passed\n" (List.length scenarios)
+  else
+    Printf.printf "soak: all %d scenarios passed (%d seeds x %d configurations)\n" total
+      (List.length scenarios) (List.length Soak.Driver.configs)
 
 (* ---- entry point ---- *)
 

@@ -17,6 +17,8 @@ type t = Ktypes.t
 let create ~site ~machine_type ~engine ~net ~mount ~fg_table ?(config = default_config)
     () =
   let stats = Sim.Engine.stats engine in
+  (* A tier of 0 pages is off where it is used ([Us.cacheable],
+     [ss_cache_enabled]); the LRU itself needs a positive capacity. *)
   let mk_cache counter ~capacity =
     Storage.Cache.create
       ~on_evict:(fun _ -> Sim.Stats.incr stats counter)
@@ -42,10 +44,7 @@ let create ~site ~machine_type ~engine ~net ~mount ~fg_table ?(config = default_
       us_cache = mk_cache "cache.us.evict" ~capacity:config.us_cache_pages;
       ss_cache = mk_cache "cache.ss.evict" ~capacity:config.ss_cache_pages;
       name_cache = Namecache.create ~stats ~capacity:config.name_cache_entries ();
-      open_leases =
-        Openlease.create ~stats
-          ~capacity:(if config.open_lease then config.open_lease_entries else 0)
-          ();
+      open_leases = Openlease.create ~stats ~capacity:config.open_lease_entries ();
       prop_pending = Gfile.Set.empty;
       prop_queue = Queue.create ();
       shared_fds = Hashtbl.create (min hint 64);
@@ -465,12 +464,6 @@ let handle_site_failure k dead =
   (* Tokens and processes. *)
   Tokens.handle_site_failure k dead;
   Process.handle_site_failure k dead
-
-let cache_stats k =
-  (Storage.Cache.hits k.us_cache, Storage.Cache.misses k.us_cache)
-
-let ss_cache_stats k =
-  (Storage.Cache.hits k.ss_cache, Storage.Cache.misses k.ss_cache)
 
 (* ---- crash and restart ---- *)
 

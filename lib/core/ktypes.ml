@@ -22,9 +22,8 @@ let () =
     | _ -> None)
 
 type config = {
-  readahead : bool;          (* one-page readahead on sequential reads (2.3.3) *)
-  use_cache : bool;          (* cache remote pages at the US *)
-  us_cache_pages : int;      (* US page-cache entries *)
+  readahead : bool;          (* keep a window requested ahead of sequential reads (2.3.3) *)
+  us_cache_pages : int;      (* US page-cache entries; 0 disables the tier *)
   ss_cache_pages : int;      (* SS buffer-cache entries; 0 disables the tier *)
   cache_retention : bool;    (* keep version-keyed US pages across opens *)
   propagation_delay : float; (* ms before the kernel propagation process runs a pull *)
@@ -34,12 +33,11 @@ type config = {
   (* maximum pages per bulk transfer: streaming-read fetch window,
      write-behind batch size, and propagation pull batch. 1 disables the
      bulk layer entirely and reproduces the one-page-per-RTT protocols. *)
-  open_lease : bool;
-  (* CSS grants revocable read leases on open: the US retains the whole
-     open grant across close and re-opens with zero messages until a
-     callback break. false keeps today's protocol byte-identical. *)
   open_lease_entries : int;
-  (* retained open grants per site; 0 disables the lease layer too *)
+  (* retained open grants per site: the CSS grants revocable read leases
+     on open, so the US keeps the whole open grant across close and
+     re-opens with zero messages until a callback break. 0 disables the
+     lease layer and keeps the classic open protocol byte-identical. *)
   stripe_width : int;
   (* stripe a file's logical pages across up to this many storage sites
      holding latest copies: page p lives at stripes.(p mod width). 1
@@ -53,7 +51,6 @@ type config = {
 let default_config =
   {
     readahead = true;
-    use_cache = true;
     us_cache_pages = 256;
     ss_cache_pages = 512;
     cache_retention = true;
@@ -61,7 +58,6 @@ let default_config =
     name_cache_entries = 512;
     remote_lookup = true;
     bulk_window = 8;
-    open_lease = true;
     open_lease_entries = 64;
     stripe_width = 1;
     table_size_hint = 64;

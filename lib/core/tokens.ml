@@ -65,7 +65,7 @@ let install_remote_fd k ~key ~gf ~mode =
    SS before the token leaves. *)
 let flush_before_yield k fd =
   match fd.f_ofile with
-  | Some o when not o.o_closed -> ( try Us.flush_writes k o with Error _ -> ())
+  | Some o when not o.o_closed -> ( try Us.flush_wb k o with Error _ -> ())
   | Some _ | None -> ()
 
 (* Manager side: grant the token to [for_site], recalling it from the

@@ -4,7 +4,8 @@
    contacts the CSS to open, exchanges pages with the selected SS, and runs
    the close protocol. All page traffic goes through kernel buffers; remote
    pages are cached at the US (keyed by file and version, so a new committed
-   version naturally misses) with one-page readahead on sequential reads. *)
+   version naturally misses), and one read planner keeps a window of pages
+   requested ahead of a sequential reader, striped or not. *)
 
 open Ktypes
 module Inode = Storage.Inode
@@ -156,10 +157,12 @@ let cache_key o lpage = (o.o_gf, lpage, vv_key o.o_info.Proto.i_vv)
 (* ---- striped access (section: scale-out storage) ----
 
    A striped open carries a stripe map from the CSS: logical page [p] is
-   served by [o_stripes.(p mod width)]. An empty map is the classic
-   single-SS protocol, untouched. *)
+   served by [o_stripes.(p mod width)]. An empty map is width 1: the
+   classic single-SS protocol, every page served by [o_ss]. *)
 
 let striped o = o.o_stripes <> []
+
+let width o = match o.o_stripes with [] -> 1 | stripes -> List.length stripes
 
 let page_site o lpage =
   match o.o_stripes with [] -> o.o_ss | stripes -> stripe_owner stripes lpage
@@ -188,10 +191,11 @@ let fetch_page k o lpage =
   | Proto.R_err e -> err e "read %a page %d failed" Gfile.pp o.o_gf lpage
   | _ -> err Proto.Eio "unexpected read response"
 
-let cacheable k o = k.config.use_cache && not o.o_nocache
+(* [us_cache_pages = 0] turns the US buffer tier off. *)
+let cacheable k o = k.config.us_cache_pages > 0 && not o.o_nocache
 
-(* The bulk-transfer layer batches page traffic with a remote SS; local
-   access and a window of one page keep the original protocols exactly. *)
+(* The bulk-transfer layer batches write traffic with a remote SS; local
+   access and a window of one page keep the original protocol exactly. *)
 let bulk_enabled k o = k.config.bulk_window > 1 && not (Site.equal o.o_ss k.site)
 
 (* ---- write-behind (bulk write path) ---- *)
@@ -230,8 +234,6 @@ let flush_wb k o =
     in
     loop 0
 
-let flush_writes = flush_wb
-
 let start_wb_run k o ~off data =
   let buf = Buffer.create (max 64 (String.length data)) in
   Buffer.add_string buf data;
@@ -246,7 +248,14 @@ let start_wb_run k o ~off data =
         match flush_wb k o with () -> () | exception Error _ -> ())
       | Some _ | None -> ())
 
-(* ---- windowed streaming reads (bulk read path) ---- *)
+(* ---- the read planner: one windowed streaming read for every width ----
+
+   A sequential reader keeps a window of pages per owner requested ahead
+   of it: the window doubles per sequential page up to [bulk_window] and
+   resets to 1 on a seek, and a striped open multiplies it by the width,
+   so the aggregate window is [o_window * width] pages per round trip.
+   Window 1 at width 1 is the classic protocol: one [Read_page] per miss
+   and one page of readahead (section 2.3.3). *)
 
 let npages_of o = (o.o_info.Proto.i_size + Page.size - 1) / Page.size
 
@@ -263,42 +272,89 @@ let run_length k o ~from ~limit =
   in
   len 0
 
-(* One bulk read: [count] consecutive pages in a single round trip. A
-   single-page run uses plain [Read_page], so a window of one is
-   byte-identical to the unbatched protocol. *)
-let fetch_pages k o ~first ~count =
-  if count <= 1 then begin
-    let data, eof = fetch_page k o first in
-    ([ data ], eof)
-  end
-  else
-    match
-      rpc k o.o_ss
-        (Proto.Read_pages { gf = o.o_gf; first; count; guess = o.o_guess; stride = 1 })
-    with
-    | Proto.R_pages { pages; eof } ->
-      Sim.Stats.incr (stats k) "us.bulk.read";
-      Sim.Stats.add (stats k) "us.bulk.read.pages" (List.length pages);
-      (pages, eof)
-    | Proto.R_err e -> err e "read %a pages %d+%d failed" Gfile.pp o.o_gf first count
-    | _ -> err Proto.Eio "unexpected read response"
+(* Fetch the run [first, first+count) into the US cache, split by owner:
+   the owner of residue [j] mod the width gets the run's pages with that
+   residue as one request, and the requests travel in parallel, so the
+   elapsed cost is the slowest owner's share, not the sum. Unstriped, the
+   one owner gets the whole run; a one-page run is then the plain
+   [Read_page] of the classic protocol, carrying the SS slot guess.
+   Returns the reply that carried page [first] (its pages and eof flag)
+   and the page after the last one that arrived. *)
+let fetch_run k o ~first ~count =
+  let w = width o in
+  let demand = ref ([], true) and upto = ref first in
+  let fetch_share (f, cnt) =
+    let pages, eof =
+      if w = 1 && cnt = 1 then begin
+        let data, eof = fetch_page k o f in
+        ([ data ], eof)
+      end
+      else begin
+        let site = page_site o f in
+        let guess = if w = 1 then o.o_guess else 0 in
+        let resp =
+          if Site.equal site k.site then begin
+            charge k (latency k).Net.Latency.local_call;
+            Ss.handle_read_pages ~guess ~stride:w k o.o_gf ~first:f ~count:cnt
+          end
+          else
+            rpc k site (Proto.Read_pages { gf = o.o_gf; first = f; count = cnt; guess; stride = w })
+        in
+        match resp with
+        | Proto.R_pages { pages; eof } ->
+          let n = List.length pages in
+          if w = 1 then begin
+            Sim.Stats.incr (stats k) "us.bulk.read";
+            Sim.Stats.add (stats k) "us.bulk.read.pages" n
+          end
+          else begin
+            Sim.Stats.incr (stats k) "us.stripe.read";
+            Sim.Stats.add (stats k) "us.stripe.read.pages" n
+          end;
+          (pages, eof)
+        | Proto.R_err e -> err e "read %a pages %d+%d failed" Gfile.pp o.o_gf f cnt
+        | _ -> err Proto.Eio "unexpected read response"
+      end
+    in
+    List.iteri
+      (fun i d ->
+        let p = f + (i * w) in
+        Cache.insert k.us_cache (cache_key o p) (Page.of_string d);
+        if p >= !upto then upto := p + 1)
+      pages;
+    if f = first then demand := (pages, eof)
+  in
+  let shares =
+    List.init w (fun j ->
+        let f = first + ((j - (first mod w) + w) mod w) in
+        if f >= first + count then None else Some (f, (first + count - f + w - 1) / w))
+    |> List.filter_map Fun.id
+  in
+  Engine.parallel k.engine (List.map (fun share () -> fetch_share share) shares);
+  let pages, eof = !demand in
+  (pages, eof, !upto)
 
 (* Keep a full window requested ahead of a sequential reader. The frontier
    is the first page no fetch has been issued for; a new batch goes out
    only when the reader has nearly caught up with it, so steady-state
-   sequential reading issues one window-sized RPC per window of pages. *)
+   sequential reading issues one window-sized round per window of pages.
+   A readahead failure is silent: the next demand fetch surfaces the error
+   (and a striped open's degrade path handles it). *)
 let schedule_window k o ~lpage =
   let npages = npages_of o in
   let next = lpage + 1 in
   if k.config.readahead && o.o_ra_frontier <= next && next < npages then begin
+    let w = width o in
     let first = max next o.o_ra_frontier in
-    let count = run_length k o ~from:first ~limit:(min o.o_window (npages - first)) in
+    let count = run_length k o ~from:first ~limit:(min (o.o_window * w) (npages - first)) in
     if count > 0 then begin
       o.o_inflight <- (first, count) :: o.o_inflight;
       o.o_ra_frontier <- first + count;
       Engine.schedule k.engine ~delay:0.01 (fun () ->
           o.o_inflight <- List.filter (fun r -> r <> (first, count)) o.o_inflight;
-          if (not o.o_closed) && k.alive then begin
+          (* A degrade since scheduling changed the page->owner map: the
+             planned fan-out no longer applies. *)
+          if (not o.o_closed) && k.alive && width o = w then begin
             (* A demand fetch may have overtaken us: re-scan and fetch only
                the still-missing tail of the scheduled range. *)
             let rec first_missing p =
@@ -309,171 +365,51 @@ let schedule_window k o ~lpage =
             match first_missing first with
             | None -> ()
             | Some p0 -> (
-              match fetch_pages k o ~first:p0 ~count:(first + count - p0) with
-              | pages, _ ->
-                Sim.Stats.incr (stats k) "us.readahead";
-                List.iteri
-                  (fun i d ->
-                    Cache.insert k.us_cache (cache_key o (p0 + i)) (Page.of_string d))
-                  pages
+              match fetch_run k o ~first:p0 ~count:(first + count - p0) with
+              | _ -> Sim.Stats.incr (stats k) "us.readahead"
               | exception Error _ -> ())
           end)
     end
   end
 
-let read_page_bulk k o lpage ~sequential =
+(* A read through the US buffers. A hit is trimmed to the open's size; a
+   miss fetches a run of up to a window of pages from [lpage] and returns
+   the demand page as the SS sent it. Unstriped, the SS's eof flag is the
+   file's; a stripe owner's flag covers only its own stripe, so a striped
+   miss judges eof by the open's size, as a hit does. Cache hits extend the
+   window too, or sequential reads degrade to miss/hit/miss/hit once the
+   readahead stream is one page deep. *)
+let read_cached k o lpage ~sequential =
   if sequential then o.o_window <- min k.config.bulk_window (o.o_window * 2)
   else begin
     o.o_window <- 1;
     o.o_ra_frontier <- lpage + 1
   end;
+  let w = width o in
   let size = o.o_info.Proto.i_size in
-  match Cache.find k.us_cache (cache_key o lpage) with
-  | Some page ->
-    Sim.Stats.incr (stats k) "cache.us.hit";
-    let remaining = size - (lpage * Page.size) in
-    let len = max 0 (min Page.size remaining) in
-    let eof = (lpage + 1) * Page.size >= size in
-    if sequential && not eof then schedule_window k o ~lpage;
-    (Page.sub page 0 len, eof)
-  | None ->
-    Sim.Stats.incr (stats k) "cache.us.miss";
-    let npages = npages_of o in
-    let count =
-      max 1 (run_length k o ~from:lpage ~limit:(min o.o_window (max 1 (npages - lpage))))
-    in
-    let pages, last_eof = fetch_pages k o ~first:lpage ~count in
-    List.iteri
-      (fun i d -> Cache.insert k.us_cache (cache_key o (lpage + i)) (Page.of_string d))
-      pages;
-    let returned = List.length pages in
-    if o.o_ra_frontier < lpage + returned then o.o_ra_frontier <- lpage + returned;
-    let data, eof =
+  let size_eof = (lpage + 1) * Page.size >= size in
+  let ((_, eof) as result) =
+    match Cache.find k.us_cache (cache_key o lpage) with
+    | Some page ->
+      Sim.Stats.incr (stats k) "cache.us.hit";
+      let len = max 0 (min Page.size (size - (lpage * Page.size))) in
+      (Page.sub page 0 len, size_eof)
+    | None -> (
+      Sim.Stats.incr (stats k) "cache.us.miss";
+      let limit = min (o.o_window * w) (max 1 (npages_of o - lpage)) in
+      let count = max 1 (run_length k o ~from:lpage ~limit) in
+      let pages, eof, upto = fetch_run k o ~first:lpage ~count in
+      if o.o_ra_frontier < upto then o.o_ra_frontier <- upto;
       match pages with
       | [] -> ("", true)
-      | [ d ] -> (d, last_eof)
-      | d :: _ -> (d, false)
-    in
-    if sequential && not eof then schedule_window k o ~lpage;
-    (data, eof)
-
-(* Striped streaming read: the miss window fans out as one strided
-   [Read_pages] per stripe site, issued in parallel, each carrying up to a
-   full window of that site's own pages. The aggregate in-flight window is
-   therefore [width * bulk_window] pages per round trip, which is where
-   striping's read throughput comes from. *)
-(* Fetch the run [first, first+count) of pages into the US cache, split by
-   page owner: each stripe site gets the arithmetic subsequence with its
-   own residue mod [w], as one strided [Read_pages], and the fans travel
-   in parallel — the elapsed cost is the slowest stripe's share, not the
-   sum. *)
-let fetch_striped_range k o ~first ~count =
-  let w = List.length o.o_stripes in
-  let groups =
-    List.init w (fun j ->
-        let f = first + ((j - (first mod w) + w) mod w) in
-        if f >= first + count then None
-        else
-          let cnt = (first + count - f + w - 1) / w in
-          Some (stripe_owner o.o_stripes f, f, cnt))
-    |> List.filter_map Fun.id
+      | d :: rest -> (d, if w > 1 then size_eof else eof && rest = []))
   in
-  let fetch_group (site, f, cnt) =
-    let resp =
-      if Site.equal site k.site then begin
-        charge k (latency k).Net.Latency.local_call;
-        Ss.handle_read_pages ~stride:w k o.o_gf ~first:f ~count:cnt
-      end
-      else
-        rpc k site
-          (Proto.Read_pages { gf = o.o_gf; first = f; count = cnt; guess = 0; stride = w })
-    in
-    match resp with
-    | Proto.R_pages { pages; _ } ->
-      Sim.Stats.incr (stats k) "us.stripe.read";
-      Sim.Stats.add (stats k) "us.stripe.read.pages" (List.length pages);
-      List.iteri
-        (fun i d -> Cache.insert k.us_cache (cache_key o (f + (i * w))) (Page.of_string d))
-        pages
-    | Proto.R_err e -> err e "striped read %a pages %d+%d failed" Gfile.pp o.o_gf f cnt
-    | _ -> err Proto.Eio "unexpected striped read response"
-  in
-  Engine.parallel k.engine (List.map (fun g () -> fetch_group g) groups)
+  if sequential && not eof then schedule_window k o ~lpage;
+  result
 
-(* The striped analogue of [schedule_window]: keep an aggregate window of
-   [width * bulk_window] pages requested ahead of a sequential reader,
-   fanned over the stripe sites. A readahead failure is silent — the next
-   demand fetch surfaces the error (and the degrade path handles it). *)
-let schedule_window_striped k o ~lpage =
-  let npages = npages_of o in
-  let next = lpage + 1 in
-  if k.config.readahead && o.o_ra_frontier <= next && next < npages then begin
-    let w = List.length o.o_stripes in
-    let first = max next o.o_ra_frontier in
-    let count =
-      run_length k o ~from:first ~limit:(min (o.o_window * w) (npages - first))
-    in
-    if count > 0 then begin
-      o.o_inflight <- (first, count) :: o.o_inflight;
-      o.o_ra_frontier <- first + count;
-      Engine.schedule k.engine ~delay:0.01 (fun () ->
-          o.o_inflight <- List.filter (fun r -> r <> (first, count)) o.o_inflight;
-          if (not o.o_closed) && k.alive && striped o then begin
-            let rec first_missing p =
-              if p >= first + count then None
-              else if Cache.mem k.us_cache (cache_key o p) then first_missing (p + 1)
-              else Some p
-            in
-            match first_missing first with
-            | None -> ()
-            | Some p0 -> (
-              match fetch_striped_range k o ~first:p0 ~count:(first + count - p0) with
-              | () -> Sim.Stats.incr (stats k) "us.readahead"
-              | exception Error _ -> ())
-          end)
-    end
-  end
-
-(* Striped streaming read: misses fan out in parallel over the stripe
-   sites, and a window of [width * bulk_window] pages is kept scheduled
-   ahead of a sequential reader — the width multiplies both the in-flight
-   window and the serving disk arms, which is where striping's read
-   throughput comes from. *)
-let read_page_striped k o lpage ~sequential =
-  if sequential then o.o_window <- min k.config.bulk_window (o.o_window * 2)
-  else begin
-    o.o_window <- 1;
-    o.o_ra_frontier <- lpage + 1
-  end;
-  let size = o.o_info.Proto.i_size in
-  let return_page page =
-    let remaining = size - (lpage * Page.size) in
-    let len = max 0 (min Page.size remaining) in
-    let eof = (lpage + 1) * Page.size >= size in
-    if sequential && not eof then schedule_window_striped k o ~lpage;
-    (Page.sub page 0 len, eof)
-  in
-  match Cache.find k.us_cache (cache_key o lpage) with
-  | Some page ->
-    Sim.Stats.incr (stats k) "cache.us.hit";
-    return_page page
-  | None ->
-    Sim.Stats.incr (stats k) "cache.us.miss";
-    let w = List.length o.o_stripes in
-    let npages = npages_of o in
-    let count =
-      max 1 (run_length k o ~from:lpage ~limit:(min (o.o_window * w) (max 1 (npages - lpage))))
-    in
-    fetch_striped_range k o ~first:lpage ~count;
-    if o.o_ra_frontier < lpage + count then o.o_ra_frontier <- lpage + count;
-    (match Cache.find k.us_cache (cache_key o lpage) with
-    | Some page -> return_page page
-    | None -> ("", true))
-
-(* Read one logical page through the kernel buffers, with sequential
-   readahead as in standard Unix (section 2.3.3). With the bulk layer on,
-   a remote cacheable open goes through the windowed streaming path
-   instead; a window of one keeps the one-page protocol exactly. *)
+(* Read one logical page through the kernel buffers (section 2.3.3).
+   Unstriped local access and opens that bypass the US cache read the page
+   directly; everything else goes through the read planner. *)
 let rec read_page k o lpage =
   if o.o_closed then err Proto.Einval "read on closed file";
   (* Read-your-writes: anything buffered for write-behind must reach the
@@ -482,69 +418,19 @@ let rec read_page k o lpage =
   charge_cpu_page k;
   let sequential = lpage = o.o_last_lpage + 1 in
   o.o_last_lpage <- lpage;
-  (* Schedule the readahead asynchronously; it fills the cache. Cache hits
-     must extend the window too, or sequential reads degrade to
-     miss/hit/miss/hit once the readahead stream is one page deep. *)
-  let schedule_readahead ~eof =
-    if k.config.readahead && sequential && (not eof) && cacheable k o then begin
-      let next = lpage + 1 in
-      if not (Cache.mem k.us_cache (cache_key o next)) then
-        Engine.schedule k.engine ~delay:0.01 (fun () ->
-            if
-              (not o.o_closed) && k.alive
-              && not (Cache.mem k.us_cache (cache_key o next))
-            then begin
-              match fetch_page k o next with
-              | data, _ ->
-                Sim.Stats.incr (stats k) "us.readahead";
-                Cache.insert k.us_cache (cache_key o next) (Page.of_string data)
-              | exception Error _ -> ()
-            end)
-    end
+  let read () =
+    if cacheable k o && (striped o || not (Site.equal o.o_ss k.site)) then
+      read_cached k o lpage ~sequential
+    else fetch_page k o lpage
   in
-  if striped o then begin
-    match
-      if cacheable k o then read_page_striped k o lpage ~sequential
-      else fetch_page k o lpage
-    with
+  if not (striped o) then read ()
+  else
+    match read () with
     | result -> result
-    | exception Error _
-      when o.o_mode <> Proto.Mode_modify && in_partition k o.o_ss ->
+    | exception Error _ when o.o_mode <> Proto.Mode_modify && in_partition k o.o_ss ->
       (* A stripe peer failed but the primary is still up: retry classic. *)
       stripe_degrade k o;
       read_page k o lpage
-  end
-  else if Site.equal o.o_ss k.site then begin
-    (* Local access: same path cost as conventional Unix. *)
-    charge k (latency k).Net.Latency.local_call;
-    match Ss.handle_read_page k o.o_gf lpage with
-    | Proto.R_page { data; eof } -> (data, eof)
-    | Proto.R_err e -> err e "local read failed"
-    | _ -> err Proto.Eio "unexpected local read response"
-  end
-  else if bulk_enabled k o && cacheable k o then read_page_bulk k o lpage ~sequential
-  else if cacheable k o then begin
-    match Cache.find k.us_cache (cache_key o lpage) with
-    | Some page ->
-      Sim.Stats.incr (stats k) "cache.us.hit";
-      let size = o.o_info.Proto.i_size in
-      let remaining = size - (lpage * Page.size) in
-      let len = max 0 (min Page.size remaining) in
-      let eof = (lpage + 1) * Page.size >= size in
-      schedule_readahead ~eof;
-      (Page.sub page 0 len, eof)
-    | None ->
-      Sim.Stats.incr (stats k) "cache.us.miss";
-      let data, eof = fetch_page k o lpage in
-      Cache.insert k.us_cache (cache_key o lpage) (Page.of_string data);
-      schedule_readahead ~eof;
-      (data, eof)
-  end
-  else begin
-    let data, eof = fetch_page k o lpage in
-    schedule_readahead ~eof;
-    (data, eof)
-  end
 
 (* Whole-body read, following the SS's eof indications. *)
 let read_all k o =

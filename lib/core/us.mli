@@ -3,8 +3,8 @@
     The US carries out the user-visible half of every file operation: it
     contacts the CSS to open (Figure 2), exchanges pages with the selected
     SS, and runs the close protocol. Remote pages are cached at the US,
-    keyed by file and version, with one-page readahead on sequential
-    reads. *)
+    keyed by file and version, and sequential reads keep a window of
+    pages requested ahead. *)
 
 val open_gf :
   ?shared:bool -> Ktypes.t -> Catalog.Gfile.t -> Proto.open_mode -> Ktypes.ofile
@@ -16,8 +16,10 @@ val open_gf :
 val read_page : Ktypes.t -> Ktypes.ofile -> int -> string * bool
 (** [read_page k o lpage] returns the page data (possibly short at end of
     file) and an eof flag. Sequential reads keep a fetch window scheduled
-    ahead of the reader (a growing multi-page window when
-    [config.bulk_window > 1]; the classic one-page readahead otherwise). *)
+    ahead of the reader: it grows to [config.bulk_window] pages per stripe
+    owner, and window 1 at stripe width 1 is the classic one-page
+    readahead. Unstriped local opens and opens that bypass the US cache
+    read each page directly. *)
 
 val read_all : Ktypes.t -> Ktypes.ofile -> string
 (** Whole-body read following the SS's eof indications. *)
@@ -33,7 +35,7 @@ val write : Ktypes.t -> Ktypes.ofile -> off:int -> string -> unit
     flush point (window full, non-adjacent write, read-back, truncate,
     commit, close, token release, or a short timer). *)
 
-val flush_writes : Ktypes.t -> Ktypes.ofile -> unit
+val flush_wb : Ktypes.t -> Ktypes.ofile -> unit
 (** Push any pending write-behind run to the SS now. Called wherever the
     modification must become visible outside this open — notably before a
     file-offset token leaves this site. No-op when nothing is buffered. *)

@@ -275,7 +275,7 @@ type resp =
            retain the whole grant across close and re-open with no
            messages until a [Lease_break] arrives. Packs into the same
            flag byte as [nocache], so the wire size is unchanged and the
-           [open_lease = false] ablation is byte-identical. *)
+           [open_lease_entries = 0] ablation is byte-identical. *)
       registered : bool;
         (* the serving state at [ss] already counts this open (the CSS
            polled it with [Storage_req], or registered it locally as

@@ -53,7 +53,18 @@ type outcome = {
   oc_skipped : int; (* faults skipped because preconditions failed *)
   oc_violations : Invariant.violation list;
   oc_events : int; (* engine events executed over the whole run *)
+  oc_stripe_reads : int; (* strided page requests: striping engaged *)
 }
+
+(* Every kernel configuration that ships, each soaked under every seed:
+   the default, the paper's classic protocols (one-page transfers, no open
+   leases), and striping over two storage sites. *)
+let configs =
+  [
+    ("default", K.default_config);
+    ("classic", { K.default_config with K.bulk_window = 1; open_lease_entries = 0 });
+    ("striped", { K.default_config with K.stripe_width = 2 });
+  ]
 
 let alive_sites w =
   List.filter (fun s -> (World.kernel w s).K.alive) (World.sites w)
@@ -78,10 +89,12 @@ let rotate n l =
     go n [] l
   end
 
-let run ?(drop = []) ?bug ~seed ~ops () =
+let run ?(drop = []) ?bug ?(config = K.default_config) ~seed ~ops () =
   let sched = Schedule.mask (Schedule.generate ~seed ~ops) ~drop in
   let base = World.default_config ~n_sites:5 () in
-  let config = { base with World.seed = Int64.of_int (0x50AC00 + seed) } in
+  let config =
+    { base with World.seed = Int64.of_int (0x50AC00 + seed); kernel_config = config }
+  in
   let w = World.create ~config () in
   let net = World.net w in
   let spec =
@@ -328,6 +341,7 @@ let run ?(drop = []) ?bug ~seed ~ops () =
     oc_skipped = !skipped;
     oc_violations = violations;
     oc_events = !events;
+    oc_stripe_reads = Sim.Stats.get (World.stats w) "us.stripe.read";
   }
 
 let failed oc = oc.oc_violations <> []

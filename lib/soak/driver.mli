@@ -30,8 +30,24 @@ type outcome = {
   oc_skipped : int;  (** faults skipped because preconditions failed *)
   oc_violations : Invariant.violation list;
   oc_events : int;  (** engine events executed over the whole run *)
+  oc_stripe_reads : int;
+      (** strided page requests the run's using sites sent: nonzero when
+          striping engaged *)
 }
 
-val run : ?drop:int list -> ?bug:bug -> seed:int -> ops:int -> unit -> outcome
+val configs : (string * Locus_core.Ktypes.config) list
+(** Every kernel configuration that ships, by name: [default]; [classic],
+    the paper's protocols (window 1, no open leases); and [striped]
+    (stripe width 2). The soak runs each seed under all of them. *)
+
+val run :
+  ?drop:int list ->
+  ?bug:bug ->
+  ?config:Locus_core.Ktypes.config ->
+  seed:int ->
+  ops:int ->
+  unit ->
+  outcome
+(** Replay one scenario under [config] (default: {!Locus_core.Ktypes.default_config}). *)
 
 val failed : outcome -> bool

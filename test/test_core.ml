@@ -194,6 +194,41 @@ let test_readahead_on_cache_hit () =
   Us.close k3 o;
   ignore (World.settle w)
 
+(* [us_cache_pages = 0] turns the US buffer tier off, as 0 does for the
+   other caches: a remote sequential read never touches the US cache and
+   pays a round trip per page — the 64 messages of E2's "no cache at US"
+   row (32 pages, file at site 0, reader at site 2). *)
+let test_zero_us_pages_disables_tier () =
+  let pages = 32 in
+  let base = World.default_config ~n_sites:3 () in
+  let config =
+    { base with
+      World.filegroups = [ { World.fg = 0; pack_sites = [ 0 ]; mount_path = None } ];
+      kernel_config = { base.World.kernel_config with K.us_cache_pages = 0 } }
+  in
+  let w = World.create ~config () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  ignore (Kernel.creat k0 p0 "/seq");
+  let body = String.make (pages * Storage.Page.size) 'd' in
+  Kernel.write_file k0 p0 "/seq" body;
+  ignore (World.settle w);
+  let k2 = World.kernel w 2 in
+  let o = Us.open_gf k2 (gf_of k2 "/seq") Proto.Mode_read in
+  let snap = Stats.snapshot (stats w) in
+  let buf = Buffer.create (String.length body) in
+  for lpage = 0 to pages - 1 do
+    Buffer.add_string buf (fst (Us.read_page k2 o lpage));
+    ignore (World.settle w)
+  done;
+  check Alcotest.int "E2 no-cache message count" 64 (msg_delta w snap);
+  Us.close k2 o;
+  ignore (World.settle w);
+  check Alcotest.string "contents" body (Buffer.contents buf);
+  List.iter
+    (fun c -> check Alcotest.int c 0 (Stats.get (stats w) c))
+    [ "cache.us.hit"; "cache.us.miss"; "cache.us.evict"; "us.readahead" ];
+  check Alcotest.int "nothing buffered" 0 (Storage.Cache.length k2.K.us_cache)
+
 (* Version-keyed pages survive close and serve a re-open of the unchanged
    version; a new committed version both misses naturally and has its stale
    entries dropped by the Commit_notify prefix invalidation. *)
@@ -594,6 +629,8 @@ let () =
           Alcotest.test_case "cache keyed by version" `Quick test_cache_keyed_by_version;
           Alcotest.test_case "readahead on cache hit" `Quick test_readahead_on_cache_hit;
           Alcotest.test_case "cross-open retention" `Quick test_cross_open_cache_retention;
+          Alcotest.test_case "0 US pages disables the tier" `Quick
+            test_zero_us_pages_disables_tier;
           Alcotest.test_case "read_bytes zero fill" `Quick
             test_read_bytes_zero_fills_short_page;
         ] );

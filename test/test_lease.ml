@@ -197,7 +197,7 @@ let test_scrub_even_in_surviving_partition () =
 
 (* ---- ablations ---- *)
 
-(* With the layer off — either switch — both the first and the second
+(* With the layer off (no lease table) both the first and the second
    open of every E1 collocation mode cost the paper's message counts:
    the protocol is exactly the pre-lease one. *)
 let test_ablations_match_e1_counts () =
@@ -222,9 +222,6 @@ let test_ablations_match_e1_counts () =
   in
   List.iter
     (fun ((_, _, paper) as p) ->
-      let cold, warm = run { K.default_config with K.open_lease = false } p in
-      check Alcotest.int "open_lease=false cold" paper cold;
-      check Alcotest.int "open_lease=false warm" paper warm;
       let cold, warm = run { K.default_config with K.open_lease_entries = 0 } p in
       check Alcotest.int "open_lease_entries=0 cold" paper cold;
       check Alcotest.int "open_lease_entries=0 warm" paper warm)

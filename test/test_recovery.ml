@@ -225,7 +225,7 @@ let test_cleanup_ss_aborts_orphan_session () =
   Us.write k1 o ~off:0 "doomed";
   (* Push the write-behind run out so the SS has an open shadow session to
      orphan when the site dies. *)
-  Us.flush_writes k1 o;
+  Us.flush_wb k1 o;
   World.crash_site w 1;
   ignore (World.detect_failures w ~initiator:0);
   check Alcotest.bool "ss aborted the session" true

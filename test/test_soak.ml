@@ -1,9 +1,11 @@
 (* Self-test of the fault-soak harness (lib/soak).
 
-   Three claims are pinned:
+   Four claims are pinned:
    - clean seeds pass: a sweep of schedules covering every fault class
      quiesces with zero invariant violations (the full 50x2000 sweep runs
      via `make soak`; this is the alcotest-sized slice);
+   - every configuration that ships (Driver.configs) passes too, and the
+     striped one really stripes;
    - the harness is deterministic: the same (seed, ops) replays the
      identical run, which is what makes shrunken repros trustworthy;
    - the harness has teeth: re-introducing a fixed bug (error paths
@@ -32,6 +34,24 @@ let test_clean_seeds () =
       if Driver.failed oc then
         Alcotest.failf "seed %d: %s" seed (pp_violations oc.Driver.oc_violations))
     seeds
+
+(* Every configuration that ships is soaked, and each one really runs its
+   own protocol: the striped configuration must fan reads over stripe
+   owners, the other two must never. *)
+let test_every_config () =
+  List.iter
+    (fun (name, config) ->
+      List.iter
+        (fun seed ->
+          let oc = Driver.run ~config ~seed ~ops () in
+          if Driver.failed oc then
+            Alcotest.failf "%s seed %d: %s" name seed (pp_violations oc.Driver.oc_violations);
+          check Alcotest.bool
+            (Printf.sprintf "%s seed %d: striping engaged" name seed)
+            (config.Locus_core.Ktypes.stripe_width > 1)
+            (oc.Driver.oc_stripe_reads > 0))
+        seeds)
+    Driver.configs
 
 let test_determinism () =
   let a = Driver.run ~seed:3 ~ops:300 () in
@@ -117,6 +137,7 @@ let () =
       ( "soak",
         [
           Alcotest.test_case "clean seeds pass invariants" `Slow test_clean_seeds;
+          Alcotest.test_case "every shipped configuration" `Slow test_every_config;
           Alcotest.test_case "same seed replays identically" `Quick
             test_determinism;
           Alcotest.test_case "masking all faults is clean" `Quick
