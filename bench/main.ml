@@ -88,9 +88,29 @@ let micro_tests () =
         Catalog.Dir.insert dir ~name:"entry0300" ~ino:302 ~stamp:1234.5 ~origin:3;
         ignore (Catalog.Dir.encode dir) )
   in
+  (* Write-through at a storage site: one 8-page write-behind run into the
+     file's shadow session, each page dropping its buffered copy, against
+     an SS cache filled to its capacity with 64 other files' pages. *)
+  ignore (Kernel.creat k0 p0 "/wbench");
+  Kernel.write_file k0 p0 "/wbench" (String.make (8 * Page.size) 'w');
+  Experiments.settle_ok w;
+  let wgf = Locus_core.Pathname.resolve_from k0 ~cwd:(Catalog.Mount.root k0.K.mount)
+      ~context:[] "/wbench" in
+  let ss_pages = k0.K.config.K.ss_cache_pages in
+  for i = 0 to ss_pages - 1 do
+    let other = Catalog.Gfile.make ~fg:99 ~ino:(2 + (i mod 64)) in
+    Storage.Cache.insert k0.K.ss_cache (other, i / 64, []) (Page.of_string "o")
+  done;
+  let run = String.make (8 * Page.size) 'r' in
+  let ss_write_run =
+    ( Printf.sprintf "SS write 8-page run (%d-page SS cache)" ss_pages,
+      fun () ->
+        ignore
+          (Locus_core.Ss.handle_write_pages k0 ~src:k0.K.site wgf ~first:0 ~off:0 ~data:run) )
+  in
   [
     local_open; remote_open; read_local; read_remote; shadow_commit; vv_compare;
-    dir_decode; dir_lookup; dir_insert;
+    dir_decode; dir_lookup; dir_insert; ss_write_run;
   ]
 
 (* ---- event-core micro suite (BENCH_micro.json) ---- *)

@@ -2,7 +2,6 @@
    site's system call (Figure 1's "serving site" column). *)
 
 open Ktypes
-module Cache = Storage.Cache
 
 let handle k ~src (req : Proto.req) : Proto.resp =
   if not k.alive then Proto.R_err Proto.Enet
@@ -35,9 +34,8 @@ let handle k ~src (req : Proto.req) : Proto.resp =
       (* A new committed version exists: buffered pages of any other
          version of this file can never hit again — drop them from both
          cache tiers by (file, version) prefix. *)
-      let stale = other_versions gf vv in
-      Cache.invalidate_if ~notify:false k.us_cache stale;
-      Cache.invalidate_if ~notify:false k.ss_cache stale;
+      drop_other_versions k.us_cache gf vv;
+      drop_other_versions k.ss_cache gf vv;
       (* Name-cache coherence rides the same notification: links read from
          an older version of this directory are dead, and if the file was
          deleted no link may keep resolving to it. *)
@@ -53,7 +51,7 @@ let handle k ~src (req : Proto.req) : Proto.resp =
       Proto.R_ok
     | Proto.Reclaim_req { gf } -> Ss.handle_reclaim k gf
     | Proto.Page_invalidate { gf; lpage } ->
-      Cache.invalidate_if ~notify:false k.us_cache (fun (g, p, _) -> Gfile.equal g gf && p = lpage);
+      drop_page k.us_cache gf lpage;
       Proto.R_ok
     | Proto.Lease_break { gf } ->
       (* CSS callback: drop the retained grant; the deferred close (if one

@@ -22,7 +22,7 @@ let create ~site ~machine_type ~engine ~net ~mount ~fg_table ?(config = default_
   let mk_cache counter ~capacity =
     Storage.Cache.create
       ~on_evict:(fun _ -> Sim.Stats.incr stats counter)
-      ~capacity:(max 1 capacity) ()
+      ~group:page_file ~capacity:(max 1 capacity) ()
   in
   (* Hot tables are pre-sized from the configured hint: a large world
      would otherwise pay repeated rehashing on every site's tables. *)

@@ -188,6 +188,12 @@ type fg_info = {
    naturally misses (coherence for free). *)
 type page_key = Gfile.t * int * (Vvec.site * int) list
 
+(* Both page-cache tiers group their pages by file: every invalidation
+   below is scoped to one file and visits only that file's pages. *)
+type page_cache = (page_key, Gfile.t) Storage.Cache.t
+
+let page_file ((g, _, _) : page_key) = g
+
 type t = {
   site : Site.t;
   machine_type : string; (* cpu type, selects hidden-directory entries (2.4.1) *)
@@ -201,8 +207,8 @@ type t = {
   open_files : (Gfile.t * int, ofile) Hashtbl.t; (* US incore inodes, by (file, serial) *)
   ss_opens : (Gfile.t, ss_open) Hashtbl.t;       (* SS-side serving state *)
   ss_slots : (int, Gfile.t) Hashtbl.t;           (* incore-inode slot -> file *)
-  us_cache : page_key Storage.Cache.t; (* (file, lpage, vv) -> page *)
-  ss_cache : page_key Storage.Cache.t;
+  us_cache : page_cache; (* (file, lpage, vv) -> page *)
+  ss_cache : page_cache;
   (* SS buffer cache fronting pack/disk page reads, same version-keying *)
   name_cache : Namecache.t;
   (* (directory, component) -> child links, vv-validated (section 2.3.4) *)
@@ -315,11 +321,18 @@ let vv_key vv = Vvec.to_list vv
 
 let vv_key_equal a b = List.equal (fun (s, n) (s', n') -> s = s' && n = n') a b
 
+let drop_pages cache gf pred =
+  ignore (Storage.Cache.filter_group cache ~notify:false gf (fun key _ -> pred key))
+
+let drop_file cache gf = drop_pages cache gf (fun _ -> true)
+
+let drop_page cache gf lpage = drop_pages cache gf (fun (_, p, _) -> p = lpage)
+
 (* The key of the version vector is computed once, not once per cached
    page the predicate is applied to. *)
-let other_versions gf vv =
+let drop_other_versions cache gf vv =
   let key = vv_key vv in
-  fun ((g, _, v) : page_key) -> Gfile.equal g gf && not (vv_key_equal v key)
+  drop_pages cache gf (fun (_, _, v) -> not (vv_key_equal v key))
 
 let ss_cache_enabled k = k.config.ss_cache_pages > 0
 

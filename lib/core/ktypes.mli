@@ -171,6 +171,11 @@ type fg_info = {
 type page_key = Gfile.t * int * (Vvec.site * int) list
 (** A buffered page: (file, logical page, {!vv_key} of its version). *)
 
+type page_cache = (page_key, Gfile.t) Storage.Cache.t
+(** A page-cache tier, its pages grouped by file ({!page_file}). *)
+
+val page_file : page_key -> Gfile.t
+
 type t = {
   site : Site.t;
   machine_type : string; (** cpu type; selects hidden-directory entries *)
@@ -184,9 +189,9 @@ type t = {
   open_files : (Gfile.t * int, ofile) Hashtbl.t;
   ss_opens : (Gfile.t, ss_open) Hashtbl.t;
   ss_slots : (int, Gfile.t) Hashtbl.t; (** incore-inode slot → file *)
-  us_cache : page_key Storage.Cache.t;
+  us_cache : page_cache;
       (** (file, page, version) → page: stale versions miss naturally *)
-  ss_cache : page_key Storage.Cache.t;
+  ss_cache : page_cache;
       (** SS buffer cache fronting pack/disk page reads, same keying *)
   name_cache : Namecache.t;
       (** (directory, component) → child links, vv-validated (§2.3.4) *)
@@ -268,9 +273,20 @@ val vv_key : Vvec.t -> (Vvec.site * int) list
     list ({!Vvec.to_list}), equal for equal vectors. A new committed
     version changes the key, so stale buffered pages miss naturally. *)
 
-val other_versions : Gfile.t -> Vvec.t -> page_key -> bool
-(** [other_versions gf vv] holds for buffered pages of [gf] under any
-    version but [vv]: the invalidation predicate of a commit. *)
+(** {2 Page-cache invalidation}
+
+    Silent ([~notify:false]) drops scoped to one file: each visits only
+    that file's buffered pages. *)
+
+val drop_file : page_cache -> Gfile.t -> unit
+(** Every buffered page of the file, under every version. *)
+
+val drop_page : page_cache -> Gfile.t -> int -> unit
+(** Every buffered version of one logical page of the file. *)
+
+val drop_other_versions : page_cache -> Gfile.t -> Vvec.t -> unit
+(** [drop_other_versions cache gf vv] drops the file's pages buffered
+    under any version but [vv]: the invalidation of a commit. *)
 
 val ss_cache_enabled : t -> bool
 (** Whether the SS-side buffer-cache tier is on ([ss_cache_pages > 0]). *)

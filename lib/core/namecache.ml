@@ -9,7 +9,9 @@
    key that bounds the staleness to what commit notification has not yet
    delivered. Entries are filled by local directory walks and by the
    trails of server-side partial-pathname lookups ([Proto.lookup_step]),
-   and live in the same O(1) recency-list structure as the buffer caches.
+   and live in the same O(1) recency-list structure as the buffer caches,
+   grouped by directory: a directory's invalidation visits only its own
+   links.
 
    Counters exported through [Sim.Stats]: name.cache.hit, name.cache.miss,
    name.cache.fill, name.cache.invalidate, name.cache.evict. *)
@@ -30,7 +32,7 @@ module Lru = Storage.Lru.Make (struct
 end)
 
 type t = {
-  cache : (Gfile.t * string) Lru.t option; (* None: disabled (capacity 0) *)
+  cache : (Gfile.t * string, Gfile.t) Lru.t option; (* None: disabled (capacity 0) *)
   stats : Sim.Stats.t;
 }
 
@@ -43,7 +45,7 @@ let create ~stats ~capacity () =
       Some
         (Lru.create
            ~on_evict:(fun _ -> Sim.Stats.incr stats "name.cache.evict")
-           ~capacity ())
+           ~group:fst ~capacity ())
   in
   { cache; stats }
 
@@ -89,25 +91,29 @@ let note_ftype t ~dir ~comp ftype =
     | None -> ()
     | Some e -> Lru.insert c (dir, comp) { e with nc_ftype = Some ftype })
 
-let drop t pred =
+(* [filter] is a scoped or a full drop. ~notify:false: the name cache's
+   on_evict only counts capacity pressure; invalidations are accounted
+   right here. *)
+let drop t filter =
   match t.cache with
   | None -> ()
   | Some c ->
-    (* ~notify:false: the name cache's on_evict only counts capacity
-       pressure; invalidations are accounted right here. *)
-    let dropped = Lru.filter_out c ~notify:false pred in
+    let dropped = filter c in
     if dropped > 0 then Sim.Stats.add t.stats "name.cache.invalidate" dropped
 
 (* The directory committed at [vv]: every link recorded under a different
    version is superseded. Links already recorded under [vv] stay. *)
 let note_dir_vv t ~dir vv =
-  drop t (fun (d, _) e -> Gfile.equal d dir && not (Vvec.equal e.nc_vv vv))
+  drop t (fun c -> Lru.filter_group c ~notify:false dir (fun _ e -> not (Vvec.equal e.nc_vv vv)))
 
-let invalidate_dir t dir = drop t (fun (d, _) _ -> Gfile.equal d dir)
+let invalidate_dir t dir = drop t (fun c -> Lru.filter_group c ~notify:false dir (fun _ _ -> true))
 
 (* The file is deleted (or its inode number reclaimed): no cached link may
-   keep resolving to it, whichever directory named it (hard links). *)
-let invalidate_child t child = drop t (fun _ e -> Gfile.equal e.nc_child child)
+   keep resolving to it, whichever directory named it (hard links). The
+   key is not the child, so this is the one full scan; it runs on deletes
+   only. *)
+let invalidate_child t child =
+  drop t (fun c -> Lru.filter_out c ~notify:false (fun _ e -> Gfile.equal e.nc_child child))
 
 let clear t =
   match t.cache with

@@ -47,12 +47,14 @@ val note_ftype : t -> dir:Catalog.Gfile.t -> comp:string -> Storage.Inode.ftype 
 
 val note_dir_vv : t -> dir:Catalog.Gfile.t -> Vv.Version_vector.t -> unit
 (** The directory committed at this version: drop every link recorded
-    under a different one. *)
+    under a different one. Visits only this directory's links. *)
 
 val invalidate_dir : t -> Catalog.Gfile.t -> unit
+(** Drop every link out of this directory; visits only its links. *)
 
 val invalidate_child : t -> Catalog.Gfile.t -> unit
-(** Drop every link resolving to this gfile (deleted/reclaimed files). *)
+(** Drop every link resolving to this gfile (deleted/reclaimed files).
+    Links are keyed by directory, not child, so this scans the cache. *)
 
 val clear : t -> unit
 

@@ -45,7 +45,8 @@ module Lru = Storage.Lru.Make (struct
 end)
 
 type t = {
-  cache : Gfile.t Lru.t option; (* None: disabled (open_lease_entries = 0) *)
+  cache : (Gfile.t, unit) Lru.t option;
+  (* None: disabled (open_lease_entries = 0); one entry per file, no groups *)
   tbl : (Gfile.t, entry) Hashtbl.t; (* mirror, for value recovery on eviction *)
   stats : Sim.Stats.t;
   on_dead : (entry -> unit) ref;

@@ -12,12 +12,11 @@ module Inode = Storage.Inode
 module Pack = Storage.Pack
 module Shadow = Storage.Shadow
 module Page = Storage.Page
-module Cache = Storage.Cache
 
 (* A pull commits through the shadow mechanism directly (below the SS
    handlers), so it must drop the superseded buffered pages itself. *)
 let invalidate_stale k gf ~vv =
-  Cache.invalidate_if ~notify:false k.ss_cache (other_versions gf vv)
+  drop_other_versions k.ss_cache gf vv
 
 (* Is [local] exactly the version [target] was derived from by one commit at
    [origin]? Then pulling just the modified pages is sufficient. *)

@@ -171,7 +171,7 @@ let handle_write_page k ~src gf ~lpage ~whole ~off ~data =
       else Shadow.patch_page session ~lpage ~off data;
       (* Write-through: the buffered committed copy of this page is no
          longer what a reader should start from. *)
-      Cache.invalidate_if ~notify:false k.ss_cache (fun (g, p, _) -> Gfile.equal g gf && p = lpage);
+      drop_page k.ss_cache gf lpage;
       invalidate_others k gf ~writer:src lpage;
       Proto.R_ok)
 
@@ -206,7 +206,7 @@ let handle_write_pages k ~src gf ~first ~off ~data =
             if poff = 0 && n = Page.size then
               Shadow.write_page session ~lpage (Page.of_string chunk)
             else Shadow.patch_page session ~lpage ~off:poff chunk;
-            Cache.invalidate_if ~notify:false k.ss_cache (fun (g, p, _) -> Gfile.equal g gf && p = lpage);
+            drop_page k.ss_cache gf lpage;
             invalidate_others k gf ~writer:src lpage;
             loop (pos + n)
           end
@@ -238,7 +238,7 @@ let handle_stripe_collect k gf =
     let size = (Shadow.incore session).Inode.size in
     Shadow.abort session;
     s.s_shadow <- None;
-    Cache.invalidate_if ~notify:false k.ss_cache (fun (g, _, _) -> Gfile.equal g gf);
+    drop_file k.ss_cache gf;
     record k ~tag:"ss.stripe.collect"
       "%a -> %d pages size=%d" Gfile.pp gf (List.length pages) size;
     Proto.R_stripe { pages; size }
@@ -324,7 +324,7 @@ let handle_commit ?force_vv ?(stripes = []) k gf ~abort ~delete =
       | Some session -> Shadow.abort session
       | None -> ());
       s.s_shadow <- None;
-      Cache.invalidate_if ~notify:false k.ss_cache (fun (g, _, _) -> Gfile.equal g gf);
+      drop_file k.ss_cache gf;
       record k ~tag:"ss.abort" "%a" Gfile.pp gf;
       let vv =
         match Pack.find_inode pack gf.Gfile.ino with
@@ -358,7 +358,7 @@ let handle_commit ?force_vv ?(stripes = []) k gf ~abort ~delete =
       Openlease.note_commit k.open_leases gf vv;
       (* The previous version's buffered pages are dead weight now (the new
          version keys differently); drop them. *)
-      Cache.invalidate_if ~notify:false k.ss_cache (other_versions gf vv);
+      drop_other_versions k.ss_cache gf vv;
       (* Likewise name-cache links: if this was a directory, links read
          from the old version are dead; if the file was deleted, no link
          may keep resolving to it. *)
@@ -545,7 +545,7 @@ let metadata_commit k gf mutate =
       charge_disk_write k;
       (* The data pages did not change, but they are keyed under the old
          version and can never hit again; free the space. *)
-      Cache.invalidate_if ~notify:false k.ss_cache (other_versions gf inode.Inode.vv);
+      drop_other_versions k.ss_cache gf inode.Inode.vv;
       Namecache.note_dir_vv k.name_cache ~dir:gf inode.Inode.vv;
       let fi = fg_info k gf.Gfile.fg in
       let message =
@@ -603,7 +603,7 @@ let handle_reclaim k gf =
   (match local_pack k gf.Gfile.fg with
   | Some pack -> Pack.remove_inode pack gf.Gfile.ino
   | None -> ());
-  Cache.invalidate_if ~notify:false k.ss_cache (fun (g, _, _) -> Gfile.equal g gf);
+  drop_file k.ss_cache gf;
   (* A reclaimed inode number can be reallocated: drop every name-cache
      link into or out of it, and any retained open grant on it. *)
   Namecache.invalidate_dir k.name_cache gf;

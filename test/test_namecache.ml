@@ -289,6 +289,48 @@ let test_ablation_neither () =
   let k2 = World.kernel w 2 and p2 = World.proc w 2 in
   check Alcotest.string "slow path still correct" "x" (Kernel.read_file k2 p2 path)
 
+(* ---- directory-scoped invalidation ---- *)
+
+(* [note_dir_vv] and [invalidate_dir] drop links of the named directory
+   only, and count exactly the links they drop. *)
+let test_dir_scoped_invalidation () =
+  let stats = Stats.create () in
+  let nc = Namecache.create ~stats ~capacity:64 () in
+  let module Vvec = Vv.Version_vector in
+  let old_vv = Vvec.bump Vvec.zero 0 in
+  let new_vv = Vvec.bump old_vv 1 in
+  let dir i = Gfile.make ~fg:0 ~ino:(100 + i) in
+  let fill d ~comp vv =
+    Namecache.insert nc ~dir:d ~comp
+      { Namecache.nc_child = Gfile.make ~fg:0 ~ino:(Hashtbl.hash comp land 0xfff);
+        nc_vv = vv; nc_ftype = None }
+  in
+  for d = 0 to 2 do
+    List.iter (fun comp -> fill (dir d) ~comp old_vv) [ "a"; "b"; "c" ]
+  done;
+  fill (dir 0) ~comp:"d" new_vv;
+  let invalidations () = Stats.get stats "name.cache.invalidate" in
+  let cached d comp current_vv =
+    Namecache.find nc ~dir:(dir d) ~comp ~current_vv <> None
+  in
+  check Alcotest.int "all links filled" 10 (Namecache.length nc);
+  Namecache.note_dir_vv nc ~dir:(dir 0) new_vv;
+  check Alcotest.int "three superseded links counted" 3 (invalidations ());
+  check Alcotest.int "only directory 0's old links dropped" 7 (Namecache.length nc);
+  check Alcotest.bool "link at the new version stays" true (cached 0 "d" None);
+  check Alcotest.bool "old link of directory 0 gone" false (cached 0 "a" None);
+  check Alcotest.bool "other directories untouched" true
+    (List.for_all (fun (d, comp) -> cached d comp None) [ (1, "a"); (1, "c"); (2, "b") ]);
+  Namecache.note_dir_vv nc ~dir:(dir 0) new_vv;
+  check Alcotest.int "nothing left to supersede" 3 (invalidations ());
+  Namecache.invalidate_dir nc (dir 1);
+  check Alcotest.int "directory 1's three links counted" 6 (invalidations ());
+  check Alcotest.int "directories 0 and 2 keep theirs" 4 (Namecache.length nc);
+  check Alcotest.bool "directory 2 untouched" true
+    (List.for_all (fun comp -> cached 2 comp None) [ "a"; "b"; "c" ]);
+  Namecache.invalidate_dir nc (dir 7);
+  check Alcotest.int "an uncached directory counts nothing" 6 (invalidations ())
+
 (* ---- the generic LRU core ---- *)
 
 module Slru = Storage.Lru.Make (struct
@@ -351,6 +393,11 @@ let () =
             test_ablation_no_remote_lookup;
           Alcotest.test_case "ablation: cache off" `Quick test_ablation_no_cache;
           Alcotest.test_case "ablation: both off" `Quick test_ablation_neither;
+        ] );
+      ( "directory scope",
+        [
+          Alcotest.test_case "note_dir_vv and invalidate_dir stay in their directory"
+            `Quick test_dir_scoped_invalidation;
         ] );
       ( "lru core",
         [

@@ -590,24 +590,28 @@ module Ilru = Storage.Lru.Make (struct
   let copy x = x
 end)
 
-(* Lru against an MRU-ordered list model with explicit capacity: recency
-   order, hit promotion, refresh-without-eviction, capacity victims (and
-   their on_evict callbacks) must all match the model, and occupancy may
-   never exceed capacity. *)
+(* Lru against an MRU-ordered list model with explicit capacity. Keys are
+   (file, n) pairs grouped by file. Recency order, hit promotion,
+   refresh-without-eviction, capacity victims (their on_evict callbacks
+   and the [evictions] count), [invalidate], [clear] and file-scoped drops
+   under random predicates must all match the model; occupancy may never
+   exceed capacity, and after every operation each file's chain holds
+   exactly that file's keys. *)
 let prop_lru_matches_model =
-  QCheck.Test.make ~count:200
+  QCheck.Test.make ~count:300
     ~name:"lru: matches MRU-list model, capacity never exceeded"
     QCheck.(
       make
         Gen.(
           pair (int_range 1 8)
-            (list_size (int_bound 200) (pair (int_bound 12) (int_bound 3)))))
+            (list_size (int_bound 200)
+               (quad (int_bound 3) (int_bound 4) (int_bound 12) (int_bound 5)))))
     (fun (cap, ops) ->
       let evicted = ref [] in
       let c =
-        Ilru.create ~on_evict:(fun k -> evicted := k :: !evicted) ~capacity:cap ()
+        Ilru.create ~on_evict:(fun k -> evicted := k :: !evicted) ~group:fst ~capacity:cap ()
       in
-      let model = ref [] (* keys, MRU first *) in
+      let model = ref [] (* (key, value), MRU first *) in
       let model_evicted = ref [] in
       let ok = ref true in
       let drop_last l =
@@ -615,31 +619,81 @@ let prop_lru_matches_model =
         | [] -> ([], None)
         | last :: front -> (List.rev front, Some last)
       in
-      List.iter
-        (fun (key, op) ->
+      let without key = List.filter (fun (k, _) -> k <> key) !model in
+      List.iteri
+        (fun i (file, n, op, salt) ->
+          let key = (file, n) in
           (match op with
-          | 0 | 1 ->
-            Ilru.insert c key key;
-            let m = key :: List.filter (fun k -> k <> key) !model in
+          | 0 | 1 | 2 | 3 ->
+            Ilru.insert c key i;
+            let m = (key, i) :: without key in
             if List.length m > cap then begin
               let kept, victim = drop_last m in
               model := kept;
-              Option.iter (fun v -> model_evicted := v :: !model_evicted) victim
+              Option.iter (fun (v, _) -> model_evicted := v :: !model_evicted) victim
             end
             else model := m
-          | 2 -> (
-            let mhit = List.mem key !model in
-            match Ilru.find c key with
-            | Some v ->
-              if (not mhit) || v <> key then ok := false
-              else model := key :: List.filter (fun k -> k <> key) !model
-            | None -> if mhit then ok := false)
-          | _ ->
+          | 4 | 5 | 6 -> (
+            match (Ilru.find c key, List.assoc_opt key !model) with
+            | Some v, Some mv when v = mv -> model := (key, v) :: without key
+            | None, None -> ()
+            | Some _, _ | None, Some _ -> ok := false)
+          | 7 ->
             Ilru.invalidate c key;
-            model := List.filter (fun k -> k <> key) !model);
-          if Ilru.length c > cap then ok := false)
+            model := without key
+          | 8 ->
+            Ilru.clear c ~notify:false;
+            model := []
+          | _ ->
+            (* A random predicate over key and value, scoped to [file]. *)
+            let pred (_, n') v = (n' + v + salt) mod (1 + (op mod 3)) = 0 in
+            let victims, kept =
+              List.partition (fun ((f, n'), v) -> f = file && pred (f, n') v) !model
+            in
+            model := kept;
+            if Ilru.filter_group c ~notify:false file pred <> List.length victims then
+              ok := false);
+          if Ilru.length c > cap then ok := false;
+          for f = 0 to 3 do
+            let mine = List.filter (fun ((f', _), _) -> f' = f) !model |> List.map fst in
+            if List.sort compare (Ilru.group_keys c f) <> List.sort compare mine then
+              ok := false
+          done)
         ops;
-      !ok && Ilru.keys_mru c = !model && !evicted = !model_evicted)
+      !ok
+      && Ilru.keys_mru c = List.map fst !model
+      && !evicted = !model_evicted
+      && Ilru.evictions c = List.length !model_evicted)
+
+(* Differential: on twin caches driven by the same operations, a
+   file-scoped drop and a full [filter_out] with the same predicate drop
+   the same number of entries and leave identical recency lists. *)
+let prop_lru_group_drop_matches_scan =
+  QCheck.Test.make ~count:300
+    ~name:"lru: file-scoped drop leaves what a full filter_out leaves"
+    QCheck.(
+      make
+        Gen.(
+          triple (int_range 1 16)
+            (list_size (int_bound 100) (triple (int_bound 3) (int_bound 6) (int_bound 5)))
+            (pair (int_bound 3) (int_bound 7))))
+    (fun (cap, ops, (file, salt)) ->
+      let scoped = Ilru.create ~group:fst ~capacity:cap () in
+      let full = Ilru.create ~group:fst ~capacity:cap () in
+      List.iteri
+        (fun i (f, n, op) ->
+          List.iter
+            (fun c ->
+              match op with
+              | 0 | 1 | 2 -> Ilru.insert c (f, n) i
+              | 3 | 4 -> ignore (Ilru.find c (f, n))
+              | _ -> Ilru.invalidate c (f, n))
+            [ scoped; full ])
+        ops;
+      let pred (_, n) v = (n * v + salt) mod 3 <> 0 in
+      let a = Ilru.filter_group scoped ~notify:false file pred in
+      let b = Ilru.filter_out full ~notify:false (fun k v -> fst k = file && pred k v) in
+      a = b && Ilru.keys_mru scoped = Ilru.keys_mru full)
 
 let props =
   List.map QCheck_alcotest.to_alcotest
@@ -659,6 +713,7 @@ let props =
       prop_zipf_pmf;
       prop_zipf_deterministic;
       prop_lru_matches_model;
+      prop_lru_group_drop_matches_scan;
     ]
 
 let () = Alcotest.run "props" [ ("invariants", props) ]

@@ -253,14 +253,25 @@ let test_cache_lru_eviction () =
   check Alcotest.bool "b evicted" true (Cache.find c "b" = None);
   check Alcotest.bool "c kept" true (Cache.find c "c" <> None)
 
-let test_cache_invalidate_if () =
-  let c = Cache.create ~capacity:8 () in
+let test_cache_filter_group () =
+  let c = Cache.create ~group:fst ~capacity:8 () in
   Cache.insert c ("f", 0) (Page.of_string "x");
   Cache.insert c ("f", 1) (Page.of_string "y");
+  Cache.insert c ("f", 2) (Page.of_string "w");
   Cache.insert c ("g", 0) (Page.of_string "z");
-  Cache.invalidate_if c ~notify:false (fun (name, _) -> name = "f");
+  check Alcotest.int "one page of f" 1
+    (Cache.filter_group c ~notify:false "f" (fun (_, p) _ -> p = 1));
+  check Alcotest.int "rest of f and g stay" 3 (Cache.length c);
+  check Alcotest.int "the whole of f" 2 (Cache.filter_group c ~notify:false "f" (fun _ _ -> true));
   check Alcotest.int "only g left" 1 (Cache.length c);
-  check Alcotest.bool "g survives" true (Cache.find c ("g", 0) <> None)
+  check Alcotest.bool "g survives" true (Cache.find c ("g", 0) <> None);
+  check Alcotest.int "an empty group drops nothing" 0
+    (Cache.filter_group c ~notify:false "f" (fun _ _ -> true));
+  check Alcotest.(list (pair string int)) "f's chain is empty" [] (Cache.group_keys c "f");
+  check Alcotest.(list (pair string int)) "g's chain" [ ("g", 0) ] (Cache.group_keys c "g");
+  Alcotest.check_raises "a cache without groups refuses"
+    (Invalid_argument "Lru.filter_group: cache has no groups") (fun () ->
+      ignore (Cache.filter_group (Cache.create ~capacity:2 ()) ~notify:false () (fun _ _ -> true)))
 
 let test_cache_lru_order () =
   let c = Cache.create ~capacity:3 () in
@@ -300,12 +311,14 @@ let test_cache_eviction_counters () =
    capacity eviction. *)
 let test_cache_notify_policy () =
   let evicted = ref [] in
-  let c = Cache.create ~on_evict:(fun k -> evicted := k :: !evicted) ~capacity:8 () in
+  let c =
+    Cache.create ~on_evict:(fun k -> evicted := k :: !evicted) ~group:Fun.id ~capacity:8 ()
+  in
   List.iter (fun k -> Cache.insert c k (Page.of_string k)) [ "a"; "b"; "c" ];
-  Cache.invalidate_if c ~notify:false (fun k -> k = "a");
+  ignore (Cache.filter_group c ~notify:false "a" (fun _ _ -> true));
   check Alcotest.int "silently dropped" 2 (Cache.length c);
   check Alcotest.(list string) "silent drop fires nothing" [] !evicted;
-  Cache.invalidate_if c ~notify:true (fun k -> k = "b");
+  ignore (Cache.filter_group c ~notify:true "b" (fun _ _ -> true));
   check Alcotest.(list string) "notified drop fires on_evict" [ "b" ] !evicted;
   check Alcotest.int "not a capacity eviction" 0 (Cache.evictions c);
   Cache.insert c "d" (Page.of_string "D");
@@ -375,7 +388,7 @@ let () =
         [
           Alcotest.test_case "hit/miss" `Quick test_cache_hit_miss;
           Alcotest.test_case "lru eviction" `Quick test_cache_lru_eviction;
-          Alcotest.test_case "invalidate_if" `Quick test_cache_invalidate_if;
+          Alcotest.test_case "filter_group" `Quick test_cache_filter_group;
           Alcotest.test_case "lru order" `Quick test_cache_lru_order;
           Alcotest.test_case "eviction counters" `Quick test_cache_eviction_counters;
           Alcotest.test_case "notify policy" `Quick test_cache_notify_policy;
